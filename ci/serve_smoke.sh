@@ -2,7 +2,9 @@
 # Serving smoke: start the daemon on a Unix socket, submit two graphs,
 # advance both, kill -9 the daemon, restart it on the same state
 # directory and advance further — the combined transcript must be
-# byte-identical to an uninterrupted daemon's.  This drives the real
+# byte-identical to an uninterrupted daemon's.  Then it checks that a
+# resident tenant's advances reuse one supervisor session
+# (tpdf_serve_compiles_total).  This drives the real
 # binary over the real socket; the in-process equivalents live in
 # test/test_serve.ml.
 # Usage: ci/serve_smoke.sh   (or: make serve-smoke)
@@ -78,4 +80,46 @@ wait "$pid" 2> /dev/null || true
 pid=
 
 diff "$dir/golden.out" "$dir/run.out"
+
+# Resident tenants keep their supervisor session across advances: 20
+# single-iteration advances build one session, a reconfigure one more.
+# A deterministic count, read from the daemon's own OpenMetrics export.
+python3 - "$dir" <<'EOF'
+import json, sys
+d = sys.argv[1]
+fig2 = open(d + '/fig2.tpdf').read()
+reqs = [{"id": "s", "op": "submit", "name": "c", "graph": fig2,
+         "params": {"p": 2}}]
+reqs += [{"id": "a%d" % i, "op": "advance", "name": "c", "iterations": 1}
+         for i in range(20)]
+reqs += [{"id": "m1", "op": "metrics"},
+         {"id": "r", "op": "reconfigure", "name": "c", "params": {"p": 3}},
+         {"id": "a", "op": "advance", "name": "c", "iterations": 1},
+         {"id": "m2", "op": "metrics"}]
+with open(d + '/compiles.txt', 'w') as f:
+    f.write('\n'.join(json.dumps(r) for r in reqs) + '\n')
+EOF
+"$bin" serve "$dir/csock" 2> /dev/null &
+pid=$!
+"$bin" client "$dir/csock" < "$dir/compiles.txt" > "$dir/compiles.out"
+kill -9 "$pid" 2> /dev/null || true
+wait "$pid" 2> /dev/null || true
+pid=
+python3 - "$dir/compiles.out" <<'EOF'
+import json, sys
+want = {"m1": 1, "m2": 2}
+for line in open(sys.argv[1]):
+    r = json.loads(line)
+    if not r.get("ok"):
+        sys.exit("serve-smoke: request %s failed: %s" % (r.get("id"), line))
+    if r.get("id") in want:
+        got = [l for l in r["openmetrics"].splitlines()
+               if l.startswith("tpdf_serve_compiles_total ")]
+        if got != ["tpdf_serve_compiles_total %d" % want[r["id"]]]:
+            sys.exit("serve-smoke: %s: expected tpdf_serve_compiles_total %d,"
+                     " got %s" % (r["id"], want[r["id"]], got))
+        del want[r["id"]]
+if want:
+    sys.exit("serve-smoke: no metrics response for %s" % sorted(want))
+EOF
 echo "serve-smoke: OK"

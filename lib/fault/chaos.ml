@@ -35,20 +35,25 @@ let default_fallbacks graph =
       in
       List.map (fun watch -> { Policy.watch; pins }) watches
 
+let with_defaults graph policy scenario =
+  ( (match policy with
+    | Some p -> p
+    | None -> { Policy.default with fallbacks = default_fallbacks graph }),
+    match scenario with Some s -> s | None -> default_scenario graph )
+
 let run ~graph ~seed ~specs ?backend ?policy ?scenario ?iterations ?obs
     ?behaviors ?pool ?kill_at_ms ?checkpoint_every ?on_checkpoint ?resume
     ~valuation () =
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> { Policy.default with fallbacks = default_fallbacks graph }
-  in
-  let scenario =
-    match scenario with Some s -> s | None -> default_scenario graph
-  in
-  let plan = Plan.make ~seed specs in
-  Supervisor.run ~graph ~plan ?backend ~policy ?obs ?behaviors ~scenario
-    ?iterations ?pool ?kill_at_ms ?checkpoint_every ?on_checkpoint ?resume
-    ~encode:string_of_int ~decode:int_of_string ~valuation ~default:0 ()
+  let policy, scenario = with_defaults graph policy scenario in
+  Supervisor.run ~graph ~plan:(Plan.make ~seed specs) ?backend ~policy ?obs
+    ?behaviors ~scenario ?iterations ?pool ?kill_at_ms ?checkpoint_every
+    ?on_checkpoint ?resume ~encode:string_of_int ~decode:int_of_string
+    ~valuation ~default:0 ()
+
+let session ~graph ~seed ~specs ?policy ?resume ~valuation () =
+  let policy, scenario = with_defaults graph policy None in
+  Supervisor.session ~graph ~plan:(Plan.make ~seed specs) ~policy ~scenario
+    ?resume ~encode:string_of_int ~decode:int_of_string ~valuation ~default:0
+    ()
 
 let recovered (s : Supervisor.summary) = s.unrecovered = None

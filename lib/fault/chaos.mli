@@ -50,5 +50,19 @@ val run :
     uninterrupted one byte for byte.
     @raise Invalid_argument as {!Supervisor.run}. *)
 
+val session :
+  graph:Tpdf_core.Graph.t ->
+  seed:int ->
+  specs:Fault.spec list ->
+  ?policy:Policy.t ->
+  ?resume:Supervisor.checkpoint ->
+  valuation:Tpdf_param.Valuation.t ->
+  unit ->
+  int Supervisor.session
+(** The {!Supervisor.session} behind {!run}, with the same defaults:
+    stepping it [k] times equals [run ~iterations:k] with the same
+    arguments.
+    @raise Invalid_argument as {!Supervisor.session}. *)
+
 val recovered : Supervisor.summary -> bool
 (** [true] when the run completed every iteration ([unrecovered = None]). *)

@@ -312,8 +312,23 @@ let substitute_mode st ch =
           | m :: _ -> m.Tpdf.Mode.name
           | [] -> "default"))
 
-let wrap st ~default ~corrupt actor (b : 'a Behavior.t) : 'a Behavior.t =
-  let is_ctrl_chan = Tpdf.Graph.is_control_channel st.graph in
+(* Remember the mode each control channel last carried. *)
+let record_ctrl st ~is_ctrl_chan outputs =
+  locked st (fun () ->
+      List.iter
+        (fun (ch, toks) ->
+          if is_ctrl_chan ch then
+            List.iter
+              (function
+                | Token.Ctrl m -> Hashtbl.replace st.last_ctrl ch m
+                | Token.Data _ -> ())
+              toks)
+        outputs)
+
+(* The fault-injecting wrapper: draws the plan's faults for every firing
+   and applies the policy to them. *)
+let wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor (b : 'a Behavior.t) :
+    'a Behavior.t =
   let global_index ctx = get st.base_index actor + ctx.Behavior.index in
   let work ctx =
     let faults = Plan.draw st.plan ~actor ~index:(global_index ctx) in
@@ -399,17 +414,7 @@ let wrap st ~default ~corrupt actor (b : 'a Behavior.t) : 'a Behavior.t =
           outputs
       else outputs
     in
-    (* Remember the mode each control channel last carried. *)
-    locked st (fun () ->
-        List.iter
-          (fun (ch, toks) ->
-            if is_ctrl_chan ch then
-              List.iter
-                (function
-                  | Token.Ctrl m -> Hashtbl.replace st.last_ctrl ch m
-                  | Token.Data _ -> ())
-                toks)
-          outputs);
+    record_ctrl st ~is_ctrl_chan outputs;
     outputs
   in
   let duration_ms ctx =
@@ -454,6 +459,31 @@ let wrap st ~default ~corrupt actor (b : 'a Behavior.t) : 'a Behavior.t =
     d
   in
   { Behavior.work; duration_ms }
+
+let wrap st ~default ~corrupt actor (b : 'a Behavior.t) : 'a Behavior.t =
+  let is_ctrl_chan = Tpdf.Graph.is_control_channel st.graph in
+  if
+    Policy.deadline_of st.policy actor <> None
+    || List.exists (fun s -> Fault.applies_to s actor) (Plan.specs st.plan)
+  then wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor b
+  else if
+    List.exists
+      (fun (e : (string, Csdf.Graph.channel) Tpdf_graph.Digraph.edge) ->
+        is_ctrl_chan e.id)
+      (Csdf.Graph.out_channels (Tpdf.Graph.skeleton st.graph) actor)
+  then
+    (* No fault can be drawn for this actor and no deadline watches it,
+       so [wrap_faulty] would run [b] unchanged; only the control-mode
+       memory stays, because checkpoints carry it. *)
+    {
+      b with
+      Behavior.work =
+        (fun ctx ->
+          let outputs = b.Behavior.work ctx in
+          record_ctrl st ~is_ctrl_chan outputs;
+          outputs);
+    }
+  else b
 
 let effective_scenario st scenario =
   let pins =
@@ -541,31 +571,63 @@ let escalate st ~ts =
         fb.pins)
     st.policy.Policy.fallbacks
 
-let run ~graph ~plan ?backend ?(policy = Policy.default) ?(obs = Obs.disabled)
-    ?(behaviors = []) ?(scenario = []) ?(iterations = 1) ?corrupt ?pool
-    ?kill_at_ms ?checkpoint_every ?on_checkpoint ?resume ?encode ?decode
-    ~valuation ~default () =
-  if iterations < 1 then invalid_arg "Supervisor.run: iterations must be >= 1";
+(* What one effective scenario runs with: the wrapped behaviours and the
+   zero targets of the actors it starves.  Rebuilt only when the
+   effective scenario changes, i.e. at a degrade or a restart. *)
+type 'a wiring = {
+  w_eff : Reconfigure.scenario;
+  w_behaviors : (string * 'a Behavior.t) list;
+  w_targets : (string * int) list;
+}
+
+type 'a session = {
+  st : state;
+  obs : Obs.t;  (* the caller's collector; [st.obs] is its shifted view *)
+  valuation : Tpdf_param.Valuation.t;
+  program : Engine.program Lazy.t;
+  behaviors : (string * 'a Behavior.t) list;
+  scenario : Reconfigure.scenario;
+  default : 'a;
+  corrupt : 'a -> 'a;
+  backend : [ `Event | `Compiled ] option;
+  pool : Tpdf_par.Pool.t option;
+  kill_at_ms : float option;
+  encode : ('a -> string) option;
+  decode : (string -> 'a) option;
+  mutable offset : float;
+  mutable iterations_run : int;
+  mutable restarts : int;
+  mutable previous_scenario : Reconfigure.scenario option;
+  mutable resume_engine : (Tpdf_sim.Snapshot.t * Reconfigure.scenario) option;
+  mutable wiring : 'a wiring option;
+  mutable ended : bool;
+}
+
+type step =
+  | Stepped of Engine.stats * checkpoint
+  | Killed of checkpoint
+  | Gave_up of string * Engine.stats option
+
+let session ~graph ~plan ?backend ?(policy = Policy.default)
+    ?(obs = Obs.disabled) ?(behaviors = []) ?(scenario = []) ?corrupt ?pool
+    ?kill_at_ms ?resume ?encode ?decode ~valuation ~default () =
   Reconfigure.validate_scenario graph scenario;
   (match Policy.validate graph policy with
   | Ok () -> ()
-  | Error m -> invalid_arg ("Supervisor.run: " ^ m));
-  (match checkpoint_every with
-  | Some n when n < 1 ->
-      invalid_arg "Supervisor.run: checkpoint_every must be >= 1"
-  | _ -> ());
+  | Error m -> invalid_arg ("Supervisor.session: " ^ m));
   (match kill_at_ms with
-  | Some k when k < 0.0 -> invalid_arg "Supervisor.run: negative kill_at_ms"
+  | Some k when k < 0.0 -> invalid_arg "Supervisor.session: negative kill_at_ms"
   | Some _ when encode = None ->
       invalid_arg
-        "Supervisor.run: kill_at_ms needs ~encode (mid-iteration snapshots)"
+        "Supervisor.session: kill_at_ms needs ~encode (mid-iteration \
+         snapshots)"
   | _ -> ());
   (match resume with
   | Some { ck_engine = Some _; _ } when decode = None ->
       invalid_arg
-        "Supervisor.run: resuming a mid-iteration checkpoint needs ~decode"
+        "Supervisor.session: resuming a mid-iteration checkpoint needs \
+         ~decode"
   | _ -> ());
-  let corrupt = match corrupt with Some f -> f | None -> fun _ -> default in
   let st =
     {
       graph;
@@ -588,20 +650,36 @@ let run ~graph ~plan ?backend ?(policy = Policy.default) ?(obs = Obs.disabled)
       lock = Mutex.create ();
     }
   in
-  let offset = ref 0.0 in
-  let per_iteration = ref [] in
-  let unrecovered = ref None in
-  let iterations_run = ref 0 in
-  let restarts = ref 0 in
-  let killed = ref None in
-  let previous_scenario = ref None in
-  let resume_engine = ref None in
+  let s =
+    {
+      st;
+      obs;
+      valuation;
+      program = lazy (Engine.compile ~graph ~valuation);
+      behaviors;
+      scenario;
+      default;
+      corrupt = (match corrupt with Some f -> f | None -> fun _ -> default);
+      backend;
+      pool;
+      kill_at_ms;
+      encode;
+      decode;
+      offset = 0.0;
+      iterations_run = 0;
+      restarts = 0;
+      previous_scenario = None;
+      resume_engine = None;
+      wiring = None;
+      ended = false;
+    }
+  in
   (match resume with
   | None -> ()
   | Some ck ->
-      iterations_run := ck.ck_iterations_run;
-      offset := ck.ck_offset_ms;
-      restarts := ck.ck_restarts;
+      s.iterations_run <- ck.ck_iterations_run;
+      s.offset <- ck.ck_offset_ms;
+      s.restarts <- ck.ck_restarts;
       st.retries <- ck.ck_retries;
       st.skips <- ck.ck_skips;
       st.corrupted <- ck.ck_corrupted;
@@ -614,200 +692,237 @@ let run ~graph ~plan ?backend ?(policy = Policy.default) ?(obs = Obs.disabled)
       fill_tbl st.degraded ck.ck_degraded;
       fill_tbl st.base_index ck.ck_base_index;
       fill_tbl st.last_ctrl ck.ck_last_ctrl;
-      previous_scenario := Some ck.ck_scenario;
-      (match ck.ck_engine with
-      | None -> ()
-      | Some snap -> resume_engine := Some (snap, ck.ck_scenario)));
-  let make_ck ~completed ~eff ~engine =
-    {
-      ck_iterations_run = completed;
-      ck_offset_ms = !offset;
-      ck_retries = st.retries;
-      ck_skips = st.skips;
-      ck_corrupted = st.corrupted;
-      ck_ctrl_lost = st.ctrl_lost;
-      ck_deadline_misses = st.deadline_misses;
-      ck_deadline_hits = st.deadline_hits;
-      ck_restarts = !restarts;
-      ck_degrades = st.degrades;
-      ck_consecutive = dump_tbl st.consecutive;
-      ck_tripped = List.map fst (dump_tbl st.tripped);
-      ck_degraded = dump_tbl st.degraded;
-      ck_base_index = dump_tbl st.base_index;
-      ck_last_ctrl = dump_tbl st.last_ctrl;
-      ck_scenario = eff;
-      ck_engine = engine;
-    }
+      s.previous_scenario <- Some ck.ck_scenario;
+      s.resume_engine <-
+        Option.map (fun snap -> (snap, ck.ck_scenario)) ck.ck_engine);
+  s
+
+let make_ck s ~completed ~eff ~engine =
+  let st = s.st in
+  {
+    ck_iterations_run = completed;
+    ck_offset_ms = s.offset;
+    ck_retries = st.retries;
+    ck_skips = st.skips;
+    ck_corrupted = st.corrupted;
+    ck_ctrl_lost = st.ctrl_lost;
+    ck_deadline_misses = st.deadline_misses;
+    ck_deadline_hits = st.deadline_hits;
+    ck_restarts = s.restarts;
+    ck_degrades = st.degrades;
+    ck_consecutive = dump_tbl st.consecutive;
+    ck_tripped = List.map fst (dump_tbl st.tripped);
+    ck_degraded = dump_tbl st.degraded;
+    ck_base_index = dump_tbl st.base_index;
+    ck_last_ctrl = dump_tbl st.last_ctrl;
+    ck_scenario = eff;
+    ck_engine = engine;
+  }
+
+let wiring s eff =
+  match s.wiring with
+  | Some w when w.w_eff = eff -> w
+  | _ ->
+      let graph = s.st.graph in
+      let w_behaviors =
+        List.map
+          (fun a ->
+            let b =
+              match List.assoc_opt a s.behaviors with
+              | Some b -> b
+              | None ->
+                  if Tpdf.Graph.is_control graph a then
+                    Reconfigure.scenario_control_behavior graph eff
+                  else Behavior.fill s.default
+            in
+            (a, wrap s.st ~default:s.default ~corrupt:s.corrupt a b))
+          (Tpdf.Graph.actors graph)
+      in
+      let w_targets =
+        List.map (fun a -> (a, 0)) (Reconfigure.starved_actors graph eff)
+      in
+      let w = { w_eff = eff; w_behaviors; w_targets } in
+      s.wiring <- Some w;
+      w
+
+let finish s (stats : Engine.stats) =
+  s.offset <- s.offset +. stats.Engine.end_ms;
+  List.iter
+    (fun (a, n) ->
+      Hashtbl.replace s.st.base_index a (get s.st.base_index a + n))
+    stats.Engine.firings
+
+(* One iteration as a supervised transaction: the attempt's events and
+   metrics are staged in an [Obs] capture.  Spliced on completion (or on
+   final failure, keeping the historical stream of unrecovered runs);
+   discarded wholesale when a restart rolls the attempt back — no
+   half-iteration firings or double-counted supervisor metrics
+   survive. *)
+let rec attempt s =
+  let st = s.st and obs = s.obs in
+  let policy = st.policy in
+  (* Only a restart reads the saved state back; skip the copy when the
+     budget is spent. *)
+  let saved =
+    if s.restarts < policy.Policy.max_restarts then Some (save_attempt st)
+    else None
   in
-  while !unrecovered = None && !killed = None && !iterations_run < iterations do
-    match kill_at_ms with
-    | Some k when !offset >= k ->
-        (* The kill instant falls on (or before) this boundary: take a
-           boundary checkpoint — no engine in flight. *)
-        let eff =
-          match !previous_scenario with
-          | Some e -> e
-          | None -> effective_scenario st scenario
-        in
-        killed :=
-          Some (make_ck ~completed:!iterations_run ~eff ~engine:None)
-    | _ ->
-        incr iterations_run;
-        (* One iteration as a supervised transaction: the attempt's
-           events and metrics are staged in an [Obs] capture.  Spliced on
-           completion (or on final failure, keeping the historical stream
-           of unrecovered runs); discarded wholesale when a restart rolls
-           the attempt back — no half-iteration firings or double-counted
-           supervisor metrics survive. *)
-        let rec attempt () =
-          let saved = save_attempt st in
-          let resuming = !resume_engine in
-          resume_engine := None;
-          let eff =
-            match resuming with
-            | Some (_, sc) -> sc
-            | None -> effective_scenario st scenario
-          in
-          st.obs <- Obs.shift obs !offset;
-          let cap = Obs.capture_begin obs in
-          if
-            resuming = None && Obs.enabled obs
-            && !previous_scenario <> Some eff
-          then begin
-            Obs.instant st.obs ~cat:"reconfig" ~track:"supervisor"
-              ~name:"reconfigure" ~ts_ms:0.0
-              ~args:[ ("scenario", Ev.Str (Reconfigure.pp_scenario eff)) ]
-              ();
-            Metrics.incr (Obs.metrics obs) "engine.reconfigurations"
-          end;
-          let wrapped =
-            List.map
-              (fun a ->
-                let b =
-                  match List.assoc_opt a behaviors with
-                  | Some b -> b
-                  | None ->
-                      if Tpdf.Graph.is_control graph a then
-                        Reconfigure.scenario_control_behavior graph eff
-                      else Behavior.fill default
-                in
-                (a, wrap st ~default ~corrupt a b))
-              (Tpdf.Graph.actors graph)
-          in
-          let targets =
-            List.map (fun a -> (a, 0)) (Reconfigure.starved_actors graph eff)
-          in
-          let until_ms =
-            match kill_at_ms with Some k -> Some (k -. !offset) | None -> None
-          in
-          let commit () =
-            Obs.capture_end obs cap;
-            Obs.splice obs cap;
-            previous_scenario := Some eff
-          in
-          let finish (stats : Engine.stats) =
-            per_iteration := stats :: !per_iteration;
-            offset := !offset +. stats.Engine.end_ms;
-            List.iter
-              (fun (a, n) ->
-                Hashtbl.replace st.base_index a (get st.base_index a + n))
-              stats.Engine.firings
-          in
-          let give_up why (partial : Engine.stats) =
-            unrecovered := Some why;
-            Metrics.incr (Obs.metrics obs) "supervisor.unrecovered";
+  let resuming = s.resume_engine in
+  s.resume_engine <- None;
+  let eff =
+    match resuming with
+    | Some (_, sc) -> sc
+    | None -> effective_scenario st s.scenario
+  in
+  st.obs <- Obs.shift obs s.offset;
+  let cap = Obs.capture_begin obs in
+  if resuming = None && Obs.enabled obs && s.previous_scenario <> Some eff
+  then begin
+    Obs.instant st.obs ~cat:"reconfig" ~track:"supervisor" ~name:"reconfigure"
+      ~ts_ms:0.0
+      ~args:[ ("scenario", Ev.Str (Reconfigure.pp_scenario eff)) ]
+      ();
+    Metrics.incr (Obs.metrics obs) "engine.reconfigurations"
+  end;
+  let w = wiring s eff in
+  let until_ms =
+    match s.kill_at_ms with Some k -> Some (k -. s.offset) | None -> None
+  in
+  let commit () =
+    Obs.capture_end obs cap;
+    Obs.splice obs cap;
+    s.previous_scenario <- Some eff
+  in
+  (* A failed attempt: roll back and restart (escalating to every
+     fallback pin) while the restart budget lasts, then give up with the
+     attempt's events committed, as an unsupervised run would have. *)
+  let fail_with why partial =
+    Obs.capture_end obs cap;
+    match saved with
+    | Some saved ->
+        restore_attempt st saved;
+        s.restarts <- s.restarts + 1;
+        st.obs <- Obs.shift obs s.offset;
+        Metrics.incr (Obs.metrics obs) "supervisor.restarts";
+        instant st ~cat:"supervisor" ~track:"supervisor" ~name:"restart"
+          ~ts:0.0
+          [ ("why", Ev.Str why) ];
+        escalate st ~ts:0.0;
+        attempt s
+    | None ->
+        Obs.splice obs cap;
+        s.previous_scenario <- Some eff;
+        s.ended <- true;
+        Metrics.incr (Obs.metrics obs) "supervisor.unrecovered";
+        Option.iter
+          (fun (partial : Engine.stats) ->
             instant st ~cat:"supervisor" ~track:"supervisor" ~name:"stall"
               ~ts:partial.Engine.end_ms
               [ ("why", Ev.Str why) ];
-            finish partial
-          in
-          (* A failed attempt: roll back and restart (escalating to every
-             fallback pin) while the restart budget lasts, then give up
-             with the attempt's events committed, as an unsupervised run
-             would have. *)
-          let fail_with why partial =
-            Obs.capture_end obs cap;
-            if !restarts < policy.Policy.max_restarts then begin
-              restore_attempt st saved;
-              incr restarts;
-              st.obs <- Obs.shift obs !offset;
-              Metrics.incr (Obs.metrics obs) "supervisor.restarts";
-              instant st ~cat:"supervisor" ~track:"supervisor" ~name:"restart"
-                ~ts:0.0
-                [ ("why", Ev.Str why) ];
-              escalate st ~ts:0.0;
-              attempt ()
-            end
-            else begin
-              Obs.splice obs cap;
-              previous_scenario := Some eff;
-              match partial with
-              | Some partial -> give_up why partial
-              | None ->
-                  unrecovered := Some why;
-                  Metrics.incr (Obs.metrics obs) "supervisor.unrecovered"
-            end
-          in
-          match
-            let eng =
-              match resuming with
-              | Some (snap, _) ->
-                  Engine.restore ~graph ~valuation ~behaviors:wrapped
-                    ~obs:st.obs ?pool ~default ~decode:(Option.get decode)
-                    snap
-              | None ->
-                  Engine.create ~graph ~valuation ~behaviors:wrapped
-                    ~obs:st.obs ?pool ~default ()
-            in
-            (Engine.run_outcome ?backend ?until_ms ~targets eng, eng)
-          with
-          | Engine.Completed stats, _ ->
-              commit ();
-              finish stats;
-              (match (checkpoint_every, on_checkpoint) with
-              | Some n, Some cb when !iterations_run mod n = 0 ->
-                  cb (make_ck ~completed:!iterations_run ~eff ~engine:None)
-              | _ -> ())
-          | Engine.Stalled (_, _), eng
-            when until_ms <> None && Engine.pending_events eng > 0 ->
-              (* Not a deadlock: the [until_ms] cap — i.e. the kill
-                 instant — stopped the run with events still queued.
-                 Commit the partial iteration's stream (it happened) and
-                 checkpoint the in-flight engine. *)
-              commit ();
-              let snap = Engine.snapshot ~encode:(Option.get encode) eng in
-              killed :=
-                Some
-                  (make_ck ~completed:(!iterations_run - 1) ~eff
-                     ~engine:(Some snap))
-          | Engine.Stalled (s, partial), _ ->
-              fail_with (Format.asprintf "%a" Engine.pp_stall s) (Some partial)
-          | Engine.Budget_exceeded { steps; at_ms; partial }, _ ->
-              fail_with
-                (Printf.sprintf
-                   "event budget exceeded after %d steps at %.3f ms" steps
-                   at_ms)
-                (Some partial)
-          | exception Engine.Error e -> fail_with (Engine.error_message e) None
-        in
-        attempt ()
-  done;
+            finish s partial)
+          partial;
+        Gave_up (why, partial)
+  in
+  match
+    let eng =
+      match resuming with
+      | Some (snap, _) ->
+          Engine.restore ~graph:st.graph ~valuation:s.valuation
+            ~behaviors:w.w_behaviors ~obs:st.obs ?pool:s.pool
+            ~default:s.default ~decode:(Option.get s.decode) snap
+      | None ->
+          Engine.instantiate (Lazy.force s.program) ~behaviors:w.w_behaviors
+            ~obs:st.obs ?pool:s.pool ~default:s.default ()
+    in
+    (Engine.run_outcome ?backend:s.backend ?until_ms ~targets:w.w_targets eng, eng)
+  with
+  | Engine.Completed stats, _ ->
+      commit ();
+      finish s stats;
+      Stepped (stats, make_ck s ~completed:s.iterations_run ~eff ~engine:None)
+  | Engine.Stalled (_, _), eng
+    when until_ms <> None && Engine.pending_events eng > 0 ->
+      (* Not a deadlock: the [until_ms] cap — i.e. the kill instant —
+         stopped the run with events still queued.  Commit the partial
+         iteration's stream (it happened) and checkpoint the in-flight
+         engine. *)
+      commit ();
+      s.ended <- true;
+      let snap = Engine.snapshot ~encode:(Option.get s.encode) eng in
+      Killed
+        (make_ck s ~completed:(s.iterations_run - 1) ~eff ~engine:(Some snap))
+  | Engine.Stalled (stall, partial), _ ->
+      fail_with (Format.asprintf "%a" Engine.pp_stall stall) (Some partial)
+  | Engine.Budget_exceeded { steps; at_ms; partial }, _ ->
+      fail_with
+        (Printf.sprintf "event budget exceeded after %d steps at %.3f ms" steps
+           at_ms)
+        (Some partial)
+  | exception Engine.Error e -> fail_with (Engine.error_message e) None
+
+let step s =
+  if s.ended then invalid_arg "Supervisor.step: the session has ended";
+  match s.kill_at_ms with
+  | Some k when s.offset >= k ->
+      (* The kill instant falls on (or before) this boundary: take a
+         boundary checkpoint — no engine in flight. *)
+      let eff =
+        match s.previous_scenario with
+        | Some e -> e
+        | None -> effective_scenario s.st s.scenario
+      in
+      s.ended <- true;
+      Killed (make_ck s ~completed:s.iterations_run ~eff ~engine:None)
+  | _ ->
+      s.iterations_run <- s.iterations_run + 1;
+      attempt s
+
+let run ~graph ~plan ?backend ?policy ?(obs = Obs.disabled) ?behaviors
+    ?scenario ?(iterations = 1) ?corrupt ?pool ?kill_at_ms ?checkpoint_every
+    ?on_checkpoint ?resume ?encode ?decode ~valuation ~default () =
+  if iterations < 1 then invalid_arg "Supervisor.run: iterations must be >= 1";
+  (match checkpoint_every with
+  | Some n when n < 1 ->
+      invalid_arg "Supervisor.run: checkpoint_every must be >= 1"
+  | _ -> ());
+  let s =
+    session ~graph ~plan ?backend ?policy ~obs ?behaviors ?scenario ?corrupt
+      ?pool ?kill_at_ms ?resume ?encode ?decode ~valuation ~default ()
+  in
+  let per_iteration = ref [] in
+  let rec loop () =
+    if s.iterations_run >= iterations then (None, None)
+    else
+      match step s with
+      | Stepped (stats, ck) ->
+          per_iteration := stats :: !per_iteration;
+          (match (checkpoint_every, on_checkpoint) with
+          | Some n, Some cb when s.iterations_run mod n = 0 -> cb ck
+          | _ -> ());
+          loop ()
+      | Killed ck -> (None, Some ck)
+      | Gave_up (why, partial) ->
+          Option.iter (fun p -> per_iteration := p :: !per_iteration) partial;
+          (Some why, None)
+  in
+  let unrecovered, killed = loop () in
+  let st = s.st in
   let total = st.deadline_hits + st.deadline_misses in
   if Obs.enabled obs && total > 0 then
     Metrics.set_gauge (Obs.metrics obs) "supervisor.deadline_hit_ratio"
       (float_of_int st.deadline_hits /. float_of_int total);
   {
-    iterations_run = !iterations_run;
-    total_end_ms = !offset;
+    iterations_run = s.iterations_run;
+    total_end_ms = s.offset;
     retries = st.retries;
     skips = st.skips;
     corrupted = st.corrupted;
     ctrl_lost = st.ctrl_lost;
     deadline_misses = st.deadline_misses;
     deadline_hits = st.deadline_hits;
-    restarts = !restarts;
+    restarts = s.restarts;
     degrades = List.rev st.degrades;
-    unrecovered = !unrecovered;
-    killed = !killed;
+    unrecovered;
+    killed;
     per_iteration = List.rev !per_iteration;
   }

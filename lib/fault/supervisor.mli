@@ -152,7 +152,59 @@ val run :
     through [resume] (same graph, plan, policy, behaviours, [decode]
     inverse of [encode]) continues the run so that outcomes, stats and
     obs streams are byte-identical to the uninterrupted run.
+    [run] is {!session} followed by {!step} until [iterations] are done
+    or a step ends the run.
     @raise Invalid_argument on an invalid scenario or policy,
     [iterations < 1], [checkpoint_every < 1], a negative [kill_at_ms],
     [kill_at_ms] without [encode], or a mid-iteration [resume] without
     [decode]. *)
+
+(** {2 Sessions}
+
+    A session is a supervised run taken one iteration at a time.  It is
+    set up once — scenario and policy validated, state tables built,
+    the engine {!Tpdf_sim.Engine.program} compiled on first use,
+    behaviours wrapped once per effective scenario — and each {!step}
+    then costs one engine instance and one iteration.  Stepping a
+    session [k] times is byte-identical to [run ~iterations:k] and to
+    [k] single-iteration [run]s each resumed from the previous one's
+    boundary checkpoint. *)
+
+type 'a session
+
+type step =
+  | Stepped of Tpdf_sim.Engine.stats * checkpoint
+      (** the iteration completed; the checkpoint is the boundary after
+          it *)
+  | Killed of checkpoint  (** [kill_at_ms] was reached; as [summary.killed] *)
+  | Gave_up of string * Tpdf_sim.Engine.stats option
+      (** the restart budget is spent: the diagnosis and the failed
+          attempt's partial stats (none for a behaviour-contract
+          violation) *)
+
+val session :
+  graph:Tpdf_core.Graph.t ->
+  plan:Plan.t ->
+  ?backend:[ `Event | `Compiled ] ->
+  ?policy:Policy.t ->
+  ?obs:Tpdf_obs.Obs.t ->
+  ?behaviors:(string * 'a Tpdf_sim.Behavior.t) list ->
+  ?scenario:Tpdf_sim.Reconfigure.scenario ->
+  ?corrupt:('a -> 'a) ->
+  ?pool:Tpdf_par.Pool.t ->
+  ?kill_at_ms:float ->
+  ?resume:checkpoint ->
+  ?encode:('a -> string) ->
+  ?decode:(string -> 'a) ->
+  valuation:Tpdf_param.Valuation.t ->
+  default:'a ->
+  unit ->
+  'a session
+(** A session positioned at [resume] (default: the start).  Arguments
+    as {!run}.
+    @raise Invalid_argument as {!run}. *)
+
+val step : 'a session -> step
+(** Run the next supervised iteration.  After [Killed] or [Gave_up] the
+    session has ended.
+    @raise Invalid_argument if the session has ended. *)

@@ -1,6 +1,12 @@
+(* Count, sum, min and max are exact over every observation; the
+   percentiles are taken over the most recent [window_cap] samples, kept
+   in a flat ring, so a long-lived histogram (a daemon's request
+   latencies) holds bounded memory. *)
+let window_cap = 65_536
+
 type histogram = {
-  mutable samples : float list; (* reverse insertion order *)
-  mutable h_count : int;
+  mutable ring : float array; (* grows by doubling up to [window_cap] *)
+  mutable h_count : int; (* sample [i] lives at [ring.(i mod window_cap)] *)
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
@@ -73,14 +79,26 @@ let apply_gauge t name v =
 let apply_observe t name v =
   match Hashtbl.find_opt t.histograms name with
   | Some h ->
-      h.samples <- v :: h.samples;
+      let len = Array.length h.ring in
+      if h.h_count = len && len < window_cap then begin
+        let ring = Array.make (min window_cap (2 * len)) 0.0 in
+        Array.blit h.ring 0 ring 0 len;
+        h.ring <- ring
+      end;
+      h.ring.(h.h_count land (window_cap - 1)) <- v;
       h.h_count <- h.h_count + 1;
       h.h_sum <- h.h_sum +. v;
       if v < h.h_min then h.h_min <- v;
       if v > h.h_max then h.h_max <- v
   | None ->
       Hashtbl.replace t.histograms name
-        { samples = [ v ]; h_count = 1; h_sum = v; h_min = v; h_max = v }
+        {
+          ring = Array.make 8 v;
+          h_count = 1;
+          h_sum = v;
+          h_min = v;
+          h_max = v;
+        }
 
 let replay t buf =
   if not (buf.cap_target == t) then
@@ -122,6 +140,7 @@ let gauge t name =
 
 type histogram_stats = {
   count : int;
+  window : int;
   sum : float;
   min : float;
   max : float;
@@ -145,11 +164,12 @@ let percentile sorted n p =
   end
 
 let stats_of h =
-  let sorted = Array.of_list h.samples in
+  let n = min h.h_count window_cap in
+  let sorted = Array.sub h.ring 0 n in
   Array.sort compare sorted;
-  let n = h.h_count in
   {
-    count = n;
+    count = h.h_count;
+    window = n;
     sum = h.h_sum;
     min = h.h_min;
     max = h.h_max;

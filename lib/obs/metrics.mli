@@ -19,8 +19,13 @@ val counter : t -> string -> int
 
 val gauge : t -> string -> float option
 
+val window_cap : int
+(** 65536: how many of a histogram's most recent samples its percentiles
+    are taken over. *)
+
 type histogram_stats = {
-  count : int;
+  count : int;  (** every observation; likewise [sum], [min], [max] *)
+  window : int;  (** samples [p50]/[p95] are over: [min count window_cap] *)
   sum : float;
   min : float;
   max : float;

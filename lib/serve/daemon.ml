@@ -170,12 +170,6 @@ let revive d tn =
       Ok hot
   | Error e -> Error e
 
-let policy_of (cfg : R.cfg) =
-  Fault.Policy.make ~max_retries:cfg.R.c_retries
-    ~retry_backoff_ms:cfg.R.c_backoff_ms ~deadlines_ms:cfg.R.c_deadlines_ms
-    ~degrade_after:cfg.R.c_degrade_after ~max_restarts:cfg.R.c_max_restarts
-    ~fallbacks:(Fault.Chaos.default_fallbacks cfg.R.c_graph) ()
-
 type advance_end =
   | Completed
   | Timed_out
@@ -183,14 +177,14 @@ type advance_end =
 
 (* Advance a resident tenant by up to [n] iterations, one supervised
    iteration per step so the wall-clock budget can cut the request into
-   partial progress at a boundary.  Byte-identity across chunkings is
-   the supervisor's resume contract; all counters live in the boundary
+   partial progress at a boundary.  All counters live in the boundary
    checkpoint, so the response derives from deterministic virtual state
-   only. *)
+   only.  Also returns the firings run and the sessions built. *)
 let advance_hot dcfg tn hot n ~wall_deadline =
-  let cfg = hot.R.h_cfg in
-  let policy = policy_of cfg in
-  let fired = ref 0 in
+  let fired = ref 0 and compiles = ref 0 in
+  let count (st : Tpdf_sim.Engine.stats) =
+    List.iter (fun (_, k) -> fired := !fired + k) st.firings
+  in
   let rec loop remaining =
     if remaining = 0 then Completed
     else if
@@ -199,27 +193,17 @@ let advance_hot dcfg tn hot n ~wall_deadline =
       | None -> false
     then Timed_out
     else begin
-      let target = tn.R.t_done + 1 in
-      let last = ref hot.R.h_ck in
-      let summary =
-        Fault.Chaos.run ~graph:cfg.R.c_graph ~seed:cfg.R.c_seed
-          ~specs:cfg.R.c_specs ~policy ~iterations:target ~checkpoint_every:1
-          ~on_checkpoint:(fun ck -> last := Some ck)
-          ?resume:hot.R.h_ck ~valuation:hot.R.h_val ()
-      in
-      List.iter
-        (fun (st : Tpdf_sim.Engine.stats) ->
-          List.iter (fun (_, k) -> fired := !fired + k) st.firings)
-        summary.Fault.Supervisor.per_iteration;
-      hot.R.h_ck <- !last;
-      (match !last with
-      | Some ck ->
+      let step, built = R.step hot in
+      if built then Stdlib.incr compiles;
+      match step with
+      | Fault.Supervisor.Gave_up (diag, partial) ->
+          Option.iter count partial;
+          Quarantine diag
+      | Fault.Supervisor.Killed _ -> assert false (* no kill_at_ms *)
+      | Fault.Supervisor.Stepped (stats, ck) ->
+          count stats;
           tn.R.t_done <- ck.Fault.Supervisor.ck_iterations_run;
-          tn.R.t_skips <- ck.Fault.Supervisor.ck_skips
-      | None -> ());
-      match summary.Fault.Supervisor.unrecovered with
-      | Some diag -> Quarantine diag
-      | None ->
+          tn.R.t_skips <- ck.Fault.Supervisor.ck_skips;
           if
             dcfg.quarantine_skips > 0
             && tn.R.t_skips >= dcfg.quarantine_skips
@@ -232,7 +216,7 @@ let advance_hot dcfg tn hot n ~wall_deadline =
     end
   in
   let outcome = loop n in
-  (outcome, !fired)
+  (outcome, !fired, !compiles)
 
 let status_json tn =
   Json.String
@@ -364,7 +348,7 @@ let h_submit d ~id req =
                  }
                in
                let* policy =
-                 match policy_of cfg with
+                 match R.policy cfg with
                  | p -> Ok p
                  | exception Invalid_argument m -> Error m
                in
@@ -460,11 +444,12 @@ let h_advance d ~id req =
                     else None
                   in
                   let before = tn.R.t_done in
-                  let outcome, fired =
+                  let outcome, fired, compiles =
                     advance_hot d.cfg tn hot n ~wall_deadline
                   in
                   incr d ~by:(tn.R.t_done - before) "serve.iterations";
                   incr d ~by:fired "serve.firings";
+                  incr d ~by:compiles "serve.compiles";
                   let finish resp =
                     persist_tenant d tn;
                     evict_lru d ~keep:name;
@@ -538,8 +523,8 @@ let h_tick d ~id req =
          List.map
            (fun (tn, hot) ->
              match advance_hot d.cfg tn hot n ~wall_deadline:None with
-             | outcome, fired -> (tn, Ok outcome, fired)
-             | exception e -> (tn, Error (Printexc.to_string e), 0))
+             | outcome, fired, compiles -> (tn, Ok outcome, fired, compiles)
+             | exception e -> (tn, Error (Printexc.to_string e), 0, 0))
            work.(shard)
        in
        let results =
@@ -551,13 +536,14 @@ let h_tick d ~id req =
        (* Deterministic commit in sorted tenant order. *)
        let outcomes =
          Array.to_list results |> List.concat
-         |> List.sort (fun (a, _, _) (b, _, _) ->
+         |> List.sort (fun (a, _, _, _) (b, _, _, _) ->
                 String.compare a.R.t_name b.R.t_name)
        in
        let advanced = ref 0 and quarantined = ref [] in
        List.iter
-         (fun (tn, outcome, fired) ->
+         (fun (tn, outcome, fired, compiles) ->
            incr d ~by:fired "serve.firings";
+           incr d ~by:compiles "serve.compiles";
            (match outcome with
            | Ok Completed | Ok Timed_out -> Stdlib.incr advanced
            | Ok (Quarantine reason) ->

@@ -18,10 +18,17 @@ type cfg = {
   c_budget : int option;
 }
 
+type session = {
+  s_run : int Fault.Supervisor.session;
+  mutable s_ck : Fault.Supervisor.checkpoint option;
+  s_val : Valuation.t;
+}
+
 type hot = {
   h_cfg : cfg;
   mutable h_val : Valuation.t;
   mutable h_ck : Fault.Supervisor.checkpoint option;
+  mutable h_sess : session option;
 }
 
 type status =
@@ -117,10 +124,55 @@ let mk_tenant ~name ~cfg ~valuation ~cost ~period_ms ~status =
     t_cost = cost;
     t_period_ms = period_ms;
     t_skips = 0;
-    t_hot = Some { h_cfg = cfg; h_val = valuation; h_ck = None };
+    t_hot = Some { h_cfg = cfg; h_val = valuation; h_ck = None; h_sess = None };
     t_touch = 0;
     t_persisted = -1;
   }
+
+(* ---------- supervised stepping ---------- *)
+
+let policy cfg =
+  Fault.Policy.make ~max_retries:cfg.c_retries ~retry_backoff_ms:cfg.c_backoff_ms
+    ~deadlines_ms:cfg.c_deadlines_ms ~degrade_after:cfg.c_degrade_after
+    ~max_restarts:cfg.c_max_restarts
+    ~fallbacks:(Fault.Chaos.default_fallbacks cfg.c_graph) ()
+
+(* The session is a cache of [h_ck] and [h_val]: it is reused only while
+   both are physically the values it last produced or was built from.
+   Anything else that moves them — a reconfigure, a revive or install
+   (fresh [hot]), a direct write — makes the next step rebuild it from
+   [h_ck]. *)
+let step hot =
+  let s, built =
+    match hot.h_sess with
+    | Some s when s.s_ck == hot.h_ck && s.s_val == hot.h_val -> (s, false)
+    | _ ->
+        let cfg = hot.h_cfg in
+        let s =
+          {
+            s_run =
+              Fault.Chaos.session ~graph:cfg.c_graph ~seed:cfg.c_seed
+                ~specs:cfg.c_specs ~policy:(policy cfg) ?resume:hot.h_ck
+                ~valuation:hot.h_val ();
+            s_ck = hot.h_ck;
+            s_val = hot.h_val;
+          }
+        in
+        hot.h_sess <- Some s;
+        (s, true)
+  in
+  match Fault.Supervisor.step s.s_run with
+  | Fault.Supervisor.Stepped (_, ck) as r ->
+      hot.h_ck <- Some ck;
+      s.s_ck <- hot.h_ck;
+      (r, built)
+  | r ->
+      (* the session has ended; [h_ck] keeps the last good boundary *)
+      hot.h_sess <- None;
+      (r, built)
+  | exception e ->
+      hot.h_sess <- None;
+      raise e
 
 (* ---------- persistence ---------- *)
 
@@ -471,6 +523,7 @@ let hot_of_file file =
         };
       h_val = valuation;
       h_ck = ck;
+      h_sess = None;
     }
 
 let revive t tenant =

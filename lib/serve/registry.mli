@@ -42,12 +42,18 @@ type cfg = {
   c_budget : int option;  (** admission per-iteration firing budget *)
 }
 
+(** A resident tenant's supervisor session (see {!step}). *)
+type session
+
 (** In-memory half of a resident tenant. *)
 type hot = {
   h_cfg : cfg;
   mutable h_val : Tpdf_param.Valuation.t;
   mutable h_ck : Fault.Supervisor.checkpoint option;
       (** [None] before the first advance *)
+  mutable h_sess : session option;
+      (** built by the first {!step}, dropped with the [hot] record on
+          eviction *)
 }
 
 (** [Migrating addr]: this daemon still owns the tenant but is moving
@@ -129,6 +135,23 @@ val install :
 
 val mk_tenant : name:string -> cfg:cfg -> valuation:Tpdf_param.Valuation.t ->
   cost:int -> period_ms:float -> status:status -> tenant
+
+val policy : cfg -> Fault.Policy.t
+(** The supervision policy of a tenant configuration, with
+    {!Fault.Chaos.default_fallbacks}.
+    @raise Invalid_argument on out-of-range settings. *)
+
+val step : hot -> Fault.Supervisor.step * bool
+(** Run the tenant's next supervised iteration on its session and, when
+    it completes, store its boundary checkpoint in [h_ck].  The session
+    is kept across steps while [h_ck] and [h_val] are physically the
+    values it last produced or was built from; on any mismatch
+    (reconfigure, revive, install, a direct write of [h_ck]) it is
+    rebuilt from [h_ck] first.  Stepping is byte-identical to a
+    single-iteration {!Fault.Chaos.run} resumed from [h_ck].  The flag is
+    [true] when this step built the session.  A step that does not
+    complete an iteration drops the session and leaves [h_ck] as it
+    was. *)
 
 val save_tenant : t -> tenant -> unit
 (** Persist a resident tenant's boundary checkpoint (no-op when the

@@ -109,22 +109,22 @@ type compiled_mode = {
    above) are emitted in both modes. *)
 type obs_mode = Obs_off | Obs_full | Obs_sampled of Obs.sampling
 
-(* The engine compiles the graph once at [create]: actors and channels get
-   dense int ids, and every per-firing query (rates, control ports, phase
-   counts, priorities, adjacency) becomes an array read.  The event queue
-   is a binary heap ordered by (time, seq) — FIFO on ties — and scheduling
-   uses a dirty-actor worklist instead of a global rescan.  The observable
-   semantics (stats, traces, tpdf_obs streams) are bit-for-bit those of the
-   seed engine, enforced by test/test_engine_equiv.ml. *)
-type 'a t = {
+(* The engine compiles the graph once per (graph, valuation) into a
+   {!program}: actors and channels get dense int ids, and every
+   per-firing query (rates, control ports, phase counts, priorities,
+   adjacency) becomes an array read.  The program is immutable and is
+   shared by every instance built from it, so a caller stepping many
+   iterations of one configuration compiles once.  The event queue is a
+   binary heap ordered by (time, seq) — FIFO on ties — and scheduling
+   uses a dirty-actor worklist instead of a global rescan.  The
+   observable semantics (stats, traces, tpdf_obs streams) are bit-for-bit
+   those of the seed engine, enforced by test/test_engine_equiv.ml. *)
+type program = {
   graph : Tpdf.Graph.t;
   conc : Csdf.Concrete.t;
-  obs : Obs.t;
-  pool : Pool.t option;
-  (* compiled actor tables; index = dense actor id in [actors] order *)
+  (* actor tables; index = dense actor id in [actors] order *)
   actor_names : string array;
   actor_ids : (string, int) Hashtbl.t;
-  behaviors : 'a Behavior.t array;
   phases : int array;
   is_ctrl_actor : bool array;
   clock_period : float option array;
@@ -134,7 +134,9 @@ type 'a t = {
   cmodes : compiled_mode array array; (* declared-order; head = default *)
   mode_by_name : (string, compiled_mode) Hashtbl.t array;
   tick_rates : (int * int) list array array; (* clock actors, per phase *)
-  (* compiled channel tables; index = channel id *)
+  initial_mode : compiled_mode array; (* [last_mode] before any firing *)
+  firing_metric : string array; (* "engine.firing_ms.<actor>" *)
+  (* channel tables; index = channel id *)
   chan_exists : bool array;
   chan_order : int array; (* ids in skeleton channel order, for stats *)
   cons : int array array; (* per channel, per consumer phase *)
@@ -142,7 +144,20 @@ type 'a t = {
   is_ctrl_chan : bool array;
   chan_prio : int array;
   chan_dst : int array; (* consumer actor id *)
+  chan_init : int array; (* initial token count *)
+  chan_capacity : int array; (* Buffers.capacity_hint *)
+  init_mode : string array; (* default initial control token *)
   has_clock : bool; (* any clocked control actor in the graph *)
+}
+
+(* One runnable instance of a program: the mutable run state, the
+   behaviours and the collector.  Everything here is per instance;
+   everything reachable through [p] is shared and never written. *)
+type 'a t = {
+  p : program;
+  obs : Obs.t;
+  pool : Pool.t option;
+  behaviors : 'a Behavior.t array;
   queues : 'a Token.t Ringbuf.t array;
       (* flat circular buffers: pushes/pops move cursors, no per-token
          cell; preallocated to Buffers.capacity_hint, grown on demand *)
@@ -172,9 +187,8 @@ type 'a t = {
   s_flushed : int array; (* firings already flushed to the registry *)
   s_flushed_ctrl : int array;
   occ_seen : int array; (* per-channel occupancy samples offered *)
-  firing_metric : string array; (* "engine.firing_ms.<actor>", precomputed *)
   dom_fire : int array; (* staged firings per pool slot; slot 0 = caller *)
-  gc_base : Gc.stat;
+  gc_base : Gc.stat option; (* [Some] iff the collector is enabled *)
   exporter : Om.Exporter.t option; (* TPDF_METRICS_OUT *)
 }
 
@@ -221,8 +235,7 @@ let sample_occupancy t ch =
         if k mod s.Obs.occupancy_every = 0 then emit_occupancy t ch
       end
 
-let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
-    ?(obs = Obs.disabled) ?pool ~default () =
+let compile ~graph ~valuation =
   (match Tpdf.Graph.validate graph with
   | Ok () -> ()
   | Error msgs ->
@@ -231,18 +244,6 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
   let conc = Csdf.Concrete.make skel valuation in
   let actors = Tpdf.Graph.actors graph in
   let channels = Csdf.Graph.channels skel in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      if not (Csdf.Graph.mem_actor skel a) then
-        invalid_arg (Printf.sprintf "Engine.create: unknown actor %s" a);
-      Hashtbl.replace tbl a b)
-    behaviors;
-  List.iter
-    (fun a ->
-      if not (Hashtbl.mem tbl a) then
-        Hashtbl.replace tbl a (default_behavior graph a default))
-    actors;
   let n = List.length actors in
   let actor_names = Array.of_list actors in
   let actor_ids = Hashtbl.create (2 * n) in
@@ -259,9 +260,9 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
   let is_ctrl_chan = Array.make nch false in
   let chan_prio = Array.make nch 0 in
   let chan_dst = Array.make nch 0 in
-  let tok_dummy = Token.Ctrl "" in
-  let queues = Array.make nch (Ringbuf.create ~capacity:1 ~dummy:tok_dummy ()) in
-  let max_occ = Array.make nch 0 in
+  let chan_init = Array.make nch 0 in
+  let chan_capacity = Array.make nch 1 in
+  let init_mode = Array.make nch "" in
   let chan_order =
     Array.of_list
       (List.map
@@ -277,24 +278,11 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
       is_ctrl_chan.(e.id) <- Tpdf.Graph.is_control_channel graph e.id;
       chan_prio.(e.id) <- Tpdf.Graph.priority graph e.id;
       chan_dst.(e.id) <- Hashtbl.find actor_ids e.dst;
-      queues.(e.id) <-
-        Ringbuf.create
-          ~capacity:
-            (Tpdf.Buffers.capacity_hint ~cons:c.Csdf.Concrete.cons
-               ~prod:c.Csdf.Concrete.prod ~init:e.label.init)
-          ~dummy:tok_dummy ();
-      let mk =
-        match init_token with
-        | Some f -> f e.id
-        | None ->
-            fun _ ->
-              if is_ctrl_chan.(e.id) then Token.Ctrl (first_mode graph e.dst)
-              else Token.Data default
-      in
-      for i = 0 to e.label.init - 1 do
-        Ringbuf.push queues.(e.id) (mk i)
-      done;
-      max_occ.(e.id) <- e.label.init)
+      chan_init.(e.id) <- e.label.init;
+      chan_capacity.(e.id) <-
+        Tpdf.Buffers.capacity_hint ~cons:c.Csdf.Concrete.cons
+          ~prod:c.Csdf.Concrete.prod ~init:e.label.init;
+      if is_ctrl_chan.(e.id) then init_mode.(e.id) <- first_mode graph e.dst)
     channels;
   let phases = Array.map (fun a -> Csdf.Graph.phases skel a) actor_names in
   let is_ctrl_actor =
@@ -378,23 +366,94 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
                   (fun ch -> (ch, prod.(ch).(ph)))
                   (Array.to_list outs.(ai))))
   in
-  let last_mode =
+  let initial_mode =
     Array.init n (fun ai ->
         if Array.length cmodes.(ai) > 0 then cmodes.(ai).(0)
         else compile_mode ai Tpdf.Mode.default)
   in
-  let behaviors_arr =
-    Array.map (fun a -> Hashtbl.find tbl a) actor_names
+  {
+    graph;
+    conc;
+    actor_names;
+    actor_ids;
+    phases;
+    is_ctrl_actor;
+    clock_period;
+    ctrl_port;
+    data_ins;
+    outs;
+    cmodes;
+    mode_by_name;
+    tick_rates;
+    initial_mode;
+    firing_metric = Array.map (fun a -> "engine.firing_ms." ^ a) actor_names;
+    chan_exists;
+    chan_order;
+    cons;
+    prod;
+    is_ctrl_chan;
+    chan_prio;
+    chan_dst;
+    chan_init;
+    chan_capacity;
+    init_mode;
+    has_clock =
+      Array.exists (function Some _ -> true | None -> false) clock_period;
+  }
+
+let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
+    ?(obs = Obs.disabled) ?pool ~default () =
+  let n = Array.length p.actor_names in
+  let nch = Array.length p.chan_exists in
+  let explicit = Array.make n None in
+  List.iter
+    (fun (a, b) ->
+      match Hashtbl.find_opt p.actor_ids a with
+      | Some ai -> explicit.(ai) <- Some b
+      | None -> invalid_arg (Printf.sprintf "Engine.create: unknown actor %s" a))
+    behaviors;
+  let behaviors =
+    Array.mapi
+      (fun ai b ->
+        match b with
+        | Some b -> b
+        | None -> default_behavior p.graph p.actor_names.(ai) default)
+      explicit
   in
+  let tok_dummy = Token.Ctrl "" in
+  let queues =
+    Array.make nch (Ringbuf.create ~capacity:1 ~dummy:tok_dummy ())
+  in
+  let max_occ = Array.make nch 0 in
+  Array.iter
+    (fun ch ->
+      let q =
+        Ringbuf.create ~capacity:p.chan_capacity.(ch) ~dummy:tok_dummy ()
+      in
+      queues.(ch) <- q;
+      let mk =
+        match init_token with
+        | Some f -> f ch
+        | None ->
+            fun _ ->
+              if p.is_ctrl_chan.(ch) then Token.Ctrl p.init_mode.(ch)
+              else Token.Data default
+      in
+      for i = 0 to p.chan_init.(ch) - 1 do
+        Ringbuf.push q (mk i)
+      done;
+      max_occ.(ch) <- p.chan_init.(ch))
+    p.chan_order;
+  let enabled = Obs.enabled obs in
   let omode =
-    if not (Obs.enabled obs) then Obs_off
+    if not enabled then Obs_off
     else
       match Obs.sampling obs with
       | None -> Obs_full
       | Some s -> Obs_sampled s
   in
   let exporter =
-    if not (Obs.enabled obs) then None
+    if not enabled then None
     else
       match Sys.getenv_opt "TPDF_METRICS_OUT" with
       | Some path when path <> "" ->
@@ -408,31 +467,10 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
   in
   let t =
     {
-      graph;
-      conc;
+      p;
       obs;
       pool;
-      actor_names;
-      actor_ids;
-      behaviors = behaviors_arr;
-      phases;
-      is_ctrl_actor;
-      clock_period;
-      ctrl_port;
-      data_ins;
-      outs;
-      cmodes;
-      mode_by_name;
-      tick_rates;
-      chan_exists;
-      chan_order;
-      cons;
-      prod;
-      is_ctrl_chan;
-      chan_prio;
-      chan_dst;
-      has_clock =
-        Array.exists (function Some _ -> true | None -> false) clock_period;
+      behaviors;
       queues;
       debt = Array.make nch 0;
       dropped = Array.make nch 0;
@@ -440,7 +478,7 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
       count = Array.make n 0;
       completed = Array.make n 0;
       busy = Array.make n false;
-      last_mode;
+      last_mode = Array.copy p.initial_mode;
       dirty = Array.make n false;
       dirty_buf = Array.make (max n 1) 0;
       dirty_len = 0;
@@ -458,24 +496,26 @@ let create_engine ~emit_initial ~graph ~valuation ?init_token ?(behaviors = [])
       s_flushed = Array.make n 0;
       s_flushed_ctrl = Array.make n 0;
       occ_seen = Array.make nch 0;
-      firing_metric =
-        Array.map (fun a -> "engine.firing_ms." ^ a) actor_names;
       dom_fire =
         Array.make (match pool with Some p -> Pool.domains p | None -> 1) 0;
-      gc_base = Gc.quick_stat ();
+      gc_base = (if enabled then Some (Gc.quick_stat ()) else None);
       exporter;
     }
   in
   (* One occupancy sample per channel at t=0 so every channel has a series
      even if it never carries traffic.  Suppressed on restore: the
      original engine already emitted them. *)
-  if emit_initial && Obs.enabled obs then
-    Array.iter (fun ch -> sample_occupancy t ch) chan_order;
+  if emit_initial && enabled then
+    Array.iter (fun ch -> sample_occupancy t ch) p.chan_order;
   t
 
+let instantiate p ?init_token ?behaviors ?obs ?pool ~default () =
+  instantiate_engine ~emit_initial:true p ?init_token ?behaviors ?obs ?pool
+    ~default ()
+
 let create ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default () =
-  create_engine ~emit_initial:true ~graph ~valuation ?init_token ?behaviors
-    ?obs ?pool ~default ()
+  instantiate (compile ~graph ~valuation) ?init_token ?behaviors ?obs ?pool
+    ~default ()
 
 let mark_dirty t ai =
   if not t.dirty.(ai) then begin
@@ -556,19 +596,19 @@ let push_tokens t ch toks =
   if occ > t.max_occ.(ch) then t.max_occ.(ch) <- occ;
   sample_occupancy t ch;
   (* wakeup rule: the channel's consumer may have become fireable *)
-  mark_dirty t t.chan_dst.(ch)
+  mark_dirty t t.p.chan_dst.(ch)
 
 (* First declared mode of the actor; mirrors the seed's [List.hd]. *)
 let head_mode t ai =
-  let ms = t.cmodes.(ai) in
+  let ms = t.p.cmodes.(ai) in
   if Array.length ms = 0 then failwith "hd" else ms.(0)
 
 let mode_of_token t ai =
-  let cid = t.ctrl_port.(ai) in
+  let cid = t.p.ctrl_port.(ai) in
   if cid < 0 then head_mode t ai
   else
-    let phase = t.count.(ai) mod t.phases.(ai) in
-    if t.cons.(cid).(phase) = 0 then
+    let phase = t.count.(ai) mod t.p.phases.(ai) in
+    if t.p.cons.(cid).(phase) = 0 then
       (* No control token this phase: the previous mode persists. *)
       t.last_mode.(ai)
     else
@@ -577,14 +617,14 @@ let mode_of_token t ai =
       else
         match Ringbuf.peek q with
         | Token.Ctrl name -> (
-            match Hashtbl.find_opt t.mode_by_name.(ai) name with
+            match Hashtbl.find_opt t.p.mode_by_name.(ai) name with
             | Some cm -> cm
             | None ->
                 raise
                   (Error
-                     (Unknown_mode { actor = t.actor_names.(ai); token = name })))
+                     (Unknown_mode { actor = t.p.actor_names.(ai); token = name })))
         | Token.Data _ ->
-            raise (Error (Data_on_control_port { actor = t.actor_names.(ai) }))
+            raise (Error (Data_on_control_port { actor = t.p.actor_names.(ai) }))
 
 (* Which inputs a firing consumes: the mode's selected-input mask, or the
    single input a Transaction picked. *)
@@ -596,10 +636,10 @@ let fireable t ai =
   match mode_of_token t ai with
   | exception Exit -> None (* waiting for a control token *)
   | cm -> (
-      let phase = t.count.(ai) mod t.phases.(ai) in
-      let ins = t.data_ins.(ai) in
+      let phase = t.count.(ai) mod t.p.phases.(ai) in
+      let ins = t.p.data_ins.(ai) in
       let has_enough ch =
-        Ringbuf.length t.queues.(ch) >= t.cons.(ch).(phase)
+        Ringbuf.length t.queues.(ch) >= t.p.cons.(ch).(phase)
       in
       match cm.cm.Tpdf.Mode.inputs with
       | Tpdf.Mode.All_inputs | Tpdf.Mode.Input_subset _ ->
@@ -616,7 +656,7 @@ let fireable t ai =
           Array.iter
             (fun ch ->
               if has_enough ch then
-                if !best < 0 || t.chan_prio.(ch) > t.chan_prio.(!best) then
+                if !best < 0 || t.p.chan_prio.(ch) > t.p.chan_prio.(!best) then
                   best := ch)
             ins;
           if !best < 0 then None (* wait for the first input available *)
@@ -624,14 +664,14 @@ let fireable t ai =
 
 let consume t ai cm active phase =
   (* Control token first. *)
-  (let cid = t.ctrl_port.(ai) in
-   if cid >= 0 && t.cons.(cid).(phase) > 0 then begin
+  (let cid = t.p.ctrl_port.(ai) in
+   if cid >= 0 && t.p.cons.(cid).(phase) > 0 then begin
      ignore (Ringbuf.pop t.queues.(cid));
      t.last_mode.(ai) <- cm;
      match t.omode with
      | Obs_off -> ()
      | Obs_full ->
-         let a = t.actor_names.(ai) in
+         let a = t.p.actor_names.(ai) in
          Obs.instant t.obs ~cat:"control" ~track:a ~name:"ctrl-read"
            ~ts_ms:t.now
            ~args:
@@ -644,7 +684,7 @@ let consume t ai cm active phase =
          t.s_ctrl.(ai) <- t.s_ctrl.(ai) + 1;
          sample_occupancy t cid
    end);
-  let ins = t.data_ins.(ai) in
+  let ins = t.p.data_ins.(ai) in
   let n = Array.length ins in
   let is_active i ch =
     match active with Selected -> cm.cm_selected.(i) | Single c -> ch = c
@@ -653,7 +693,7 @@ let consume t ai cm active phase =
     if i >= n then []
     else
       let ch = ins.(i) in
-      let rate = t.cons.(ch).(phase) in
+      let rate = t.p.cons.(ch).(phase) in
       if is_active i ch then begin
         let toks = List.init rate (fun _ -> Ringbuf.pop t.queues.(ch)) in
         if rate > 0 then sample_occupancy t ch;
@@ -681,7 +721,7 @@ let check_rate a ch rate produced =
       (Error (Rate_mismatch { actor = a; channel = ch; expected = rate; produced }))
 
 let check_classes t a ch toks =
-  let is_ctrl_chan = t.is_ctrl_chan.(ch) in
+  let is_ctrl_chan = t.p.is_ctrl_chan.(ch) in
   List.iter
     (fun tok ->
       if Token.is_ctrl tok <> is_ctrl_chan then
@@ -698,8 +738,8 @@ let check_classes t a ch toks =
    the tables clean), but they are engine-global: parallel staged firings
    use {!validate_outputs_list} instead. *)
 let validate_outputs t ai expected outputs =
-  let a = t.actor_names.(ai) in
-  let nch = Array.length t.chan_exists in
+  let a = t.p.actor_names.(ai) in
+  let nch = Array.length t.p.chan_exists in
   let sc_prod = t.sc_prod and sc_exp = t.sc_exp in
   List.iter
     (fun (ch, toks) ->
@@ -732,7 +772,7 @@ let validate_outputs t ai expected outputs =
    pool-staged firings, which run concurrently and must not share the
    engine's scratch tables. *)
 let validate_outputs_list t ai expected outputs =
-  let a = t.actor_names.(ai) in
+  let a = t.p.actor_names.(ai) in
   List.iter
     (fun (ch, rate) ->
       let produced =
@@ -758,12 +798,12 @@ let validate_outputs_list t ai expected outputs =
    streams bit-identical to a sequential run. *)
 let fire_stage ?(par = false) t ai cm active =
   let index = t.count.(ai) in
-  let phase = index mod t.phases.(ai) in
+  let phase = index mod t.p.phases.(ai) in
   let inputs = consume t ai cm active phase in
   let rates = cm.cm_out_rates.(phase) in
   let ctx =
     {
-      Behavior.actor = t.actor_names.(ai);
+      Behavior.actor = t.p.actor_names.(ai);
       mode = cm.cm.Tpdf.Mode.name;
       phase;
       index;
@@ -842,7 +882,7 @@ let fire_parallel t pool jobs =
         in
         if span_every > 0 && t.count.(ai) mod span_every = 0 then
           Obs.span t.obs ~clock:Ev.Wall ~cat:"par" ~track:"stage"
-            ~name:t.actor_names.(ai) ~ts_ms:t0w
+            ~name:t.p.actor_names.(ai) ~ts_ms:t0w
             ~dur_ms:(Obs.now_wall_ms () -. t0w)
             ~args:[ ("domain", Ev.Int di); ("index", Ev.Int t.count.(ai)) ]
             ();
@@ -866,19 +906,19 @@ let fire_parallel t pool jobs =
    end.  Gauges only — never events — so the byte-golden full-capture
    event stream is untouched. *)
 let update_gc_gauges t =
-  match t.omode with
-  | Obs_off -> ()
-  | _ ->
+  match t.gc_base with
+  | None -> ()
+  | Some base ->
       let m = Obs.metrics t.obs in
       let s = Gc.quick_stat () in
       Metrics.set_gauge m "gc.minor_words"
-        (s.Gc.minor_words -. t.gc_base.Gc.minor_words);
+        (s.Gc.minor_words -. base.Gc.minor_words);
       Metrics.set_gauge m "gc.major_words"
-        (s.Gc.major_words -. t.gc_base.Gc.major_words);
+        (s.Gc.major_words -. base.Gc.major_words);
       Metrics.set_gauge m "gc.promoted_words"
-        (s.Gc.promoted_words -. t.gc_base.Gc.promoted_words);
+        (s.Gc.promoted_words -. base.Gc.promoted_words);
       Metrics.set_gauge m "gc.compactions"
-        (float_of_int (s.Gc.compactions - t.gc_base.Gc.compactions));
+        (float_of_int (s.Gc.compactions - base.Gc.compactions));
       Metrics.set_gauge m "gc.heap_words" (float_of_int s.Gc.heap_words)
 
 (* Sampled mode keeps per-firing bookkeeping in dense arrays; this
@@ -904,7 +944,7 @@ let flush_sampled t pool =
           end;
           if t.s_busy.(ai) > 0.0 then
             Metrics.set_gauge m ("engine.busy_ms." ^ a) t.s_busy.(ai))
-        t.actor_names;
+        t.p.actor_names;
       Array.iteri
         (fun d n ->
           if n > 0 then
@@ -939,7 +979,7 @@ let complete_event t ~limit ai outputs record =
   match t.omode with
   | Obs_off -> ()
   | Obs_full ->
-      let a = t.actor_names.(ai) in
+      let a = t.p.actor_names.(ai) in
       Obs.span t.obs ~cat:"firing" ~track:a ~name:(a ^ "/" ^ record.mode)
         ~ts_ms:record.start_ms
         ~dur_ms:(record.finish_ms -. record.start_ms)
@@ -951,7 +991,7 @@ let complete_event t ~limit ai outputs record =
           ]
         ();
       Metrics.incr (Obs.metrics t.obs) ("engine.firings." ^ a);
-      Metrics.observe (Obs.metrics t.obs) t.firing_metric.(ai)
+      Metrics.observe (Obs.metrics t.obs) t.p.firing_metric.(ai)
         (record.finish_ms -. record.start_ms)
   | Obs_sampled s ->
       (* hot path: two dense-array writes; the k-th completion of each
@@ -963,7 +1003,7 @@ let complete_event t ~limit ai outputs record =
       let dur = record.finish_ms -. record.start_ms in
       t.s_busy.(ai) <- t.s_busy.(ai) +. dur;
       if (c - 1) mod s.Obs.span_every = 0 then begin
-        let a = t.actor_names.(ai) in
+        let a = t.p.actor_names.(ai) in
         Obs.span t.obs ~cat:"firing" ~track:a ~name:a ~ts_ms:record.start_ms
           ~dur_ms:dur
           ~args:
@@ -973,15 +1013,15 @@ let complete_event t ~limit ai outputs record =
               ("mode", Ev.Str record.mode);
             ]
           ();
-        Metrics.observe (Obs.metrics t.obs) t.firing_metric.(ai) dur
+        Metrics.observe (Obs.metrics t.obs) t.p.firing_metric.(ai) dur
       end
 
 (* A clock firing: no inputs, emits control tokens now. *)
 let tick_event t ai =
-  let a = t.actor_names.(ai) in
+  let a = t.p.actor_names.(ai) in
   let index = t.count.(ai) in
-  let phase = index mod t.phases.(ai) in
-  let rates = t.tick_rates.(ai).(phase) in
+  let phase = index mod t.p.phases.(ai) in
+  let rates = t.p.tick_rates.(ai).(phase) in
   let ctx =
     {
       Behavior.actor = a;
@@ -1007,7 +1047,7 @@ let tick_event t ai =
       ();
     Metrics.incr (Obs.metrics t.obs) ("engine.ticks." ^ a)
   end;
-  match t.clock_period.(ai) with
+  match t.p.clock_period.(ai) with
   | Some p -> Event_heap.add t.events (t.now +. p) (Tick ai)
   | None -> ()
 
@@ -1058,7 +1098,7 @@ let rec toks_ok t ch want = function
   | [] -> want = 0
   | tok :: rest ->
       want > 0
-      && Token.is_ctrl tok = t.is_ctrl_chan.(ch)
+      && Token.is_ctrl tok = t.p.is_ctrl_chan.(ch)
       && toks_ok t ch (want - 1) rest
 
 (* Lockstep output check: [true] when [outputs] lists exactly the expected
@@ -1102,29 +1142,29 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
   | Some l ->
       List.iter
         (fun (a, n) ->
-          if not (Hashtbl.mem t.actor_ids a) then
+          if not (Hashtbl.mem t.p.actor_ids a) then
             invalid_arg
               (Printf.sprintf "Engine.run: unknown target actor %s" a);
           if n < 0 then
             invalid_arg
               (Printf.sprintf "Engine.run: negative target %d for %s" n a))
         l);
-  let n = Array.length t.actor_names in
+  let n = Array.length t.p.actor_names in
   (* Per-run firing limits, compiled to an array; clocks are unlimited. *)
   let limit = Array.make n max_int in
   Array.iteri
     (fun ai a ->
-      if t.clock_period.(ai) = None then
+      if t.p.clock_period.(ai) = None then
         let base =
           match targets with
-          | None -> Csdf.Concrete.q t.conc a
+          | None -> Csdf.Concrete.q t.p.conc a
           | Some l -> (
               match List.assoc_opt a l with
               | Some k -> k
-              | None -> Csdf.Concrete.q t.conc a)
+              | None -> Csdf.Concrete.q t.p.conc a)
         in
         limit.(ai) <- iterations * base)
-    t.actor_names;
+    t.p.actor_names;
   (* An iteration is done when every firing has also *completed*: in-flight
      firings still deliver their tokens (e.g. a slow speculative path whose
      result must be rejected).  [remaining] counts actors still short of
@@ -1141,15 +1181,15 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
   if not t.armed then begin
     t.armed <- true;
     for ai = 0 to n - 1 do
-      if t.is_ctrl_actor.(ai) then
-        match t.clock_period.(ai) with
+      if t.p.is_ctrl_actor.(ai) then
+        match t.p.clock_period.(ai) with
         | Some p -> Event_heap.add t.events p (Tick ai)
         | None -> ()
     done
   end;
   let eligible ai =
     (not t.busy.(ai))
-    && t.clock_period.(ai) = None
+    && t.p.clock_period.(ai) = None
     && t.count.(ai) < limit.(ai)
   in
   let try_start ai =
@@ -1225,7 +1265,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
      pool, nothing in flight.  Everything else — including a run it
      deoptimised out of — goes through the event heap. *)
   let compiled =
-    backend = `Compiled && pool = None && (not t.has_clock)
+    backend = `Compiled && pool = None && (not t.p.has_clock)
     && Event_heap.is_empty t.events
     && Array.for_all not t.busy
   in
@@ -1281,10 +1321,10 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
       let fast = t.omode = Obs_off in
       Array.init n (fun ai ->
           fast
-          && t.ctrl_port.(ai) < 0
-          && Array.length t.cmodes.(ai) > 0
+          && t.p.ctrl_port.(ai) < 0
+          && Array.length t.p.cmodes.(ai) > 0
           &&
-          match t.cmodes.(ai).(0).cm.Tpdf.Mode.inputs with
+          match t.p.cmodes.(ai).(0).cm.Tpdf.Mode.inputs with
           | Tpdf.Mode.All_inputs -> true
           | _ -> false)
     in
@@ -1293,25 +1333,25 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
          graph with clocked actors. *)
       if (not t.busy.(ai)) && t.count.(ai) < limit.(ai) then begin
         let index = t.count.(ai) in
-        let ph = t.phases.(ai) in
+        let ph = t.p.phases.(ai) in
         let phase = if ph = 1 then 0 else index mod ph in
-        let ins = t.data_ins.(ai) in
+        let ins = t.p.data_ins.(ai) in
         let nin = Array.length ins in
         let ok = ref true in
         for i = 0 to nin - 1 do
           let ch = ins.(i) in
-          if Ringbuf.length t.queues.(ch) < t.cons.(ch).(phase) then
+          if Ringbuf.length t.queues.(ch) < t.p.cons.(ch).(phase) then
             ok := false
         done;
         if !ok then begin
-          let cm = t.cmodes.(ai).(0) in
+          let cm = t.p.cmodes.(ai).(0) in
           let inputs = ref [] in
           (* per-channel pops in FIFO order; channels are disjoint, so
              walking them in reverse builds the ascending assoc list
              [consume] would. *)
           for i = nin - 1 downto 0 do
             let ch = ins.(i) in
-            let rate = t.cons.(ch).(phase) in
+            let rate = t.p.cons.(ch).(phase) in
             if rate > 0 then begin
               let q = t.queues.(ch) in
               let toks =
@@ -1337,7 +1377,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
           let rates = cm.cm_out_rates.(phase) in
           let ctx =
             {
-              Behavior.actor = t.actor_names.(ai);
+              Behavior.actor = t.p.actor_names.(ai);
               mode = cm.cm.Tpdf.Mode.name;
               phase;
               index;
@@ -1353,7 +1393,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
                lockstep walk *)
             match (rates, outputs) with
             | [ (ch, 1) ], [ (ch', [ tok ]) ] ->
-                ch' = ch && Token.is_ctrl tok = t.is_ctrl_chan.(ch)
+                ch' = ch && Token.is_ctrl tok = t.p.is_ctrl_chan.(ch)
             | _ -> validate_fast t rates outputs
           in
           if not valid then validate_outputs t ai rates outputs;
@@ -1423,13 +1463,13 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
             (fun cm ->
               Array.iter
                 (List.iter (fun ((ch, _) : int * int) ->
-                     let dst = t.chan_dst.(ch) in
+                     let dst = t.p.chan_dst.(ch) in
                      if not seen.(dst) then begin
                        seen.(dst) <- true;
                        acc := dst :: !acc
                      end))
                 cm.cm_out_rates)
-            t.cmodes.(ai);
+            t.p.cmodes.(ai);
           let arr = Array.of_list !acc in
           Array.iter (fun a -> seen.(a) <- false) arr;
           Array.sort (fun (a : int) b -> compare a b) arr;
@@ -1582,13 +1622,13 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
       end_ms;
       firings =
         Array.to_list
-          (Array.mapi (fun ai a -> (a, t.count.(ai))) t.actor_names);
+          (Array.mapi (fun ai a -> (a, t.count.(ai))) t.p.actor_names);
       max_occupancy =
         Array.to_list
-          (Array.map (fun ch -> (ch, t.max_occ.(ch))) t.chan_order);
+          (Array.map (fun ch -> (ch, t.max_occ.(ch))) t.p.chan_order);
       dropped =
         Array.to_list
-          (Array.map (fun ch -> (ch, t.dropped.(ch))) t.chan_order);
+          (Array.map (fun ch -> (ch, t.dropped.(ch))) t.p.chan_order);
       trace =
         (let rev = List.rev t.trace in
          (* completion order is already start-time order under uniform
@@ -1610,7 +1650,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
     let blocked = ref [] in
     for ai = n - 1 downto 0 do
       if limit.(ai) <> max_int && t.completed.(ai) < limit.(ai) then
-        blocked := (t.actor_names.(ai), t.completed.(ai), limit.(ai)) :: !blocked
+        blocked := (t.p.actor_names.(ai), t.completed.(ai), limit.(ai)) :: !blocked
     done;
     Stalled
       ( {
@@ -1620,7 +1660,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
             Array.to_list
               (Array.map
                  (fun ch -> (ch, Ringbuf.length t.queues.(ch)))
-                 t.chan_order);
+                 t.p.chan_order);
         },
         stats )
   end
@@ -1639,7 +1679,7 @@ let run ?backend ?iterations ?targets ?until_ms ?max_events ?pool t =
   | exception Error e -> failwith (error_message e)
 
 let channel_tokens t ch =
-  if ch < 0 || ch >= Array.length t.chan_exists || not t.chan_exists.(ch) then
+  if ch < 0 || ch >= Array.length t.p.chan_exists || not t.p.chan_exists.(ch) then
     raise Not_found;
   Ringbuf.to_list t.queues.(ch)
 
@@ -1650,7 +1690,7 @@ let pending_events t = Event_heap.length t.events
 (* ------------------------------------------------------------------ *)
 
 let at_boundary t =
-  let skel = Tpdf.Graph.skeleton t.graph in
+  let skel = Tpdf.Graph.skeleton t.p.graph in
   Array.for_all not t.busy
   && Array.for_all (fun d -> d = 0) t.debt
   && List.for_all
@@ -1687,7 +1727,7 @@ let snapshot ~encode t =
              a_busy = t.busy.(ai);
              a_last_mode = t.last_mode.(ai).cm.Tpdf.Mode.name;
            })
-         t.actor_names)
+         t.p.actor_names)
   in
   let channels =
     Array.to_list
@@ -1700,7 +1740,7 @@ let snapshot ~encode t =
              c_dropped = t.dropped.(ch);
              c_max_occ = t.max_occ.(ch);
            })
-         t.chan_order)
+         t.p.chan_order)
   in
   let heap =
     List.map
@@ -1710,14 +1750,14 @@ let snapshot ~encode t =
           | Complete (ai, outputs, record) ->
               Snapshot.Complete
                 {
-                  c_actor = t.actor_names.(ai);
+                  c_actor = t.p.actor_names.(ai);
                   c_outputs =
                     List.map
                       (fun (ch, toks) -> (ch, List.map tok toks))
                       outputs;
                   c_record = firing record;
                 }
-          | Tick ai -> Snapshot.Tick t.actor_names.(ai)
+          | Tick ai -> Snapshot.Tick t.p.actor_names.(ai)
         in
         { Snapshot.h_time = time; h_seq = seq; h_event })
       (Event_heap.entries t.events)
@@ -1735,14 +1775,15 @@ let snapshot ~encode t =
 let restore ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default
     ~decode (s : Snapshot.t) =
   let t =
-    create_engine ~emit_initial:false ~graph ~valuation ?init_token ?behaviors
-      ?obs ?pool ~default ()
+    instantiate_engine ~emit_initial:false
+      (compile ~graph ~valuation)
+      ?init_token ?behaviors ?obs ?pool ~default ()
   in
   let fail fmt =
     Printf.ksprintf (fun m -> invalid_arg ("Engine.restore: " ^ m)) fmt
   in
   let aid name =
-    match Hashtbl.find_opt t.actor_ids name with
+    match Hashtbl.find_opt t.p.actor_ids name with
     | Some i -> i
     | None -> fail "snapshot names unknown actor %s" name
   in
@@ -1760,30 +1801,30 @@ let restore ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default
       finish_ms = f.f_finish_ms;
     }
   in
-  if List.length s.actors <> Array.length t.actor_names then
+  if List.length s.actors <> Array.length t.p.actor_names then
     fail "snapshot has %d actor(s), graph has %d" (List.length s.actors)
-      (Array.length t.actor_names);
+      (Array.length t.p.actor_names);
   List.iter
     (fun (a : Snapshot.actor_state) ->
       let ai = aid a.a_name in
       t.count.(ai) <- a.a_count;
       t.completed.(ai) <- a.a_completed;
       t.busy.(ai) <- a.a_busy;
-      match Hashtbl.find_opt t.mode_by_name.(ai) a.a_last_mode with
+      match Hashtbl.find_opt t.p.mode_by_name.(ai) a.a_last_mode with
       | Some cm -> t.last_mode.(ai) <- cm
       | None ->
           (* Actors without declared modes snapshot the synthetic default
              mode name; their compiled default is already installed. *)
-          if Array.length t.cmodes.(ai) > 0 then
+          if Array.length t.p.cmodes.(ai) > 0 then
             fail "snapshot pins %s to unknown mode %S" a.a_name a.a_last_mode)
     s.actors;
-  if List.length s.channels <> Array.length t.chan_order then
+  if List.length s.channels <> Array.length t.p.chan_order then
     fail "snapshot has %d channel(s), graph has %d" (List.length s.channels)
-      (Array.length t.chan_order);
+      (Array.length t.p.chan_order);
   List.iter
     (fun (c : Snapshot.channel_state) ->
       let ch = c.c_id in
-      if ch < 0 || ch >= Array.length t.chan_exists || not t.chan_exists.(ch)
+      if ch < 0 || ch >= Array.length t.p.chan_exists || not t.p.chan_exists.(ch)
       then fail "snapshot names unknown channel e%d" ch;
       let q = t.queues.(ch) in
       Ringbuf.clear q;
@@ -1801,8 +1842,8 @@ let restore ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default
               (fun (ch, toks) ->
                 if
                   ch < 0
-                  || ch >= Array.length t.chan_exists
-                  || not t.chan_exists.(ch)
+                  || ch >= Array.length t.p.chan_exists
+                  || not t.p.chan_exists.(ch)
                 then fail "snapshot output on unknown channel e%d" ch;
                 (ch, List.map tok toks))
               c_outputs,

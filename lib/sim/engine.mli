@@ -15,8 +15,9 @@
     - {e clock} control actors fire on their period, independently of data;
     - everything is deterministic given the behaviours.
 
-    Internally the graph is compiled once at {!create} into dense arrays
-    (rates, control ports, adjacency, per-mode tables), events live in an
+    Internally the graph is compiled once per valuation into a {!program}
+    of dense arrays (rates, control ports, adjacency, per-mode tables)
+    that every instance of it shares, events live in an
     {!Event_heap} ordered by [(time, seq)], and scheduling re-examines only
     actors woken by token arrivals or their own completion — see DESIGN.md,
     "Engine internals", for the structure and the determinism contract. *)
@@ -85,7 +86,35 @@ type outcome =
 
 val pp_stall : Format.formatter -> stall -> unit
 
+type program
+(** The immutable compiled form of one (graph, valuation): validated
+    graph, concrete rates, dense actor and channel tables, per-mode
+    tables and buffer capacity hints.  Parameters are fixed within an
+    iteration and change only at its boundary, so a program stays valid
+    for every iteration until the valuation changes; any number of
+    instances may share it, concurrently included. *)
+
 type 'a t
+(** A runnable instance: the mutable run state of one program. *)
+
+val compile :
+  graph:Tpdf_core.Graph.t -> valuation:Tpdf_param.Valuation.t -> program
+(** @raise Invalid_argument if the graph fails
+    {!Tpdf_core.Graph.validate}. *)
+
+val instantiate :
+  program ->
+  ?init_token:(int -> int -> 'a Token.t) ->
+  ?behaviors:(string * 'a Behavior.t) list ->
+  ?obs:Tpdf_obs.Obs.t ->
+  ?pool:Tpdf_par.Pool.t ->
+  default:'a ->
+  unit ->
+  'a t
+(** A fresh instance of [program] at t=0: only the run state (ring
+    buffers, initial tokens, counters, event heap) is allocated.
+    Arguments as {!create}.
+    @raise Invalid_argument on unknown behaviour actors. *)
 
 val create :
   graph:Tpdf_core.Graph.t ->
@@ -97,7 +126,8 @@ val create :
   default:'a ->
   unit ->
   'a t
-(** Builds a runnable instance.  [init_token ch i] gives the i-th initial
+(** [instantiate (compile ~graph ~valuation)]: builds a runnable
+    instance.  [init_token ch i] gives the i-th initial
     token of channel [ch] (default: [Data default] on data channels and the
     first mode name on control channels).  Actors without an explicit
     behaviour source [default] values ({!Behavior.fill}); control actors

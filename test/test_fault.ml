@@ -345,6 +345,226 @@ let test_chaos_defaults () =
         (List.sort compare f.Policy.pins))
     fallbacks
 
+(* ------------------------------------------------------------------ *)
+(* Sessions: k steps = one k-iteration run = k resumed single runs     *)
+(* ------------------------------------------------------------------ *)
+
+let graphs_dir =
+  let d = "../graphs" in
+  if Sys.file_exists d then d else "graphs"
+
+let graph_files =
+  Sys.readdir graphs_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".tpdf")
+  |> List.sort compare
+
+let fault_sets g =
+  let specs s =
+    match Fault.parse_specs s with Ok l -> l | Error m -> failwith m
+  in
+  let deadlines = List.map (fun a -> (a, 2.0)) (Graph.kernels g) in
+  let policy ?(deadlines_ms = []) ?(degrade_after = 3) ?(max_restarts = 0)
+      () =
+    Policy.make ~deadlines_ms ~degrade_after ~max_restarts
+      ~fallbacks:(Chaos.default_fallbacks g) ()
+  in
+  [
+    ("none", [], policy ());
+    ("fail", specs "fail:*:0.4:3", policy ());
+    ("corrupt", specs "corrupt:*:0.5", policy ());
+    ("ctrl-loss", specs "ctrl-loss:*:0.5", policy ());
+    ( "overrun+deadline",
+      specs "overrun:*:0.5:4",
+      policy ~deadlines_ms:deadlines ~degrade_after:1 () );
+    ( "max_restarts",
+      specs "ctrl-loss:*:0.5,overrun:*:0.5:4,fail:*:0.3:4",
+      policy ~deadlines_ms:deadlines ~degrade_after:1 ~max_restarts:2 () );
+  ]
+
+(* What one driving of a supervised run observed: the boundary
+   checkpoints (as persisted), the per-iteration stats and the summary
+   ([None] where the driver cannot see one). *)
+type observed = {
+  metas : (string * string) list list;
+  stats : Sim.Engine.stats list;
+  unrecovered : string option;
+  summary : Supervisor.summary option;
+}
+
+(* The summary a completed session's last boundary checkpoint implies. *)
+let summary_of_ck (ck : Supervisor.checkpoint) per_iteration =
+  {
+    Supervisor.iterations_run = ck.Supervisor.ck_iterations_run;
+    total_end_ms = ck.ck_offset_ms;
+    retries = ck.ck_retries;
+    skips = ck.ck_skips;
+    corrupted = ck.ck_corrupted;
+    ctrl_lost = ck.ck_ctrl_lost;
+    deadline_misses = ck.ck_deadline_misses;
+    deadline_hits = ck.ck_deadline_hits;
+    restarts = ck.ck_restarts;
+    degrades = List.rev ck.ck_degrades;
+    unrecovered = None;
+    killed = None;
+    per_iteration;
+  }
+
+let check_session_equivalence file () =
+  let g =
+    match Serial.load (Filename.concat graphs_dir file) with
+    | Ok g -> g
+    | Error m -> Alcotest.fail (file ^ ": " ^ m)
+  in
+  let valuation =
+    List.fold_left (fun v p -> Valuation.add p 2 v) Valuation.empty
+      (Graph.parameters g)
+  in
+  let k = 4 and seed = 7 in
+  List.iter
+    (fun (name, specs, policy) ->
+      let label what = Printf.sprintf "%s/%s: %s" file name what in
+      let stepped =
+        let s = Chaos.session ~graph:g ~seed ~specs ~policy ~valuation () in
+        let rec go i metas stats last =
+          if i = k then
+            let stats = List.rev stats in
+            {
+              metas = List.rev metas;
+              stats;
+              unrecovered = None;
+              summary = Option.map (fun ck -> summary_of_ck ck stats) last;
+            }
+          else
+            match Supervisor.step s with
+            | Supervisor.Stepped (st, ck) ->
+                go (i + 1)
+                  (Supervisor.checkpoint_meta ck :: metas)
+                  (st :: stats) (Some ck)
+            | Supervisor.Gave_up (why, partial) ->
+                {
+                  metas = List.rev metas;
+                  stats = List.rev (Option.to_list partial @ stats);
+                  unrecovered = Some why;
+                  summary = None;
+                }
+            | Supervisor.Killed _ -> Alcotest.fail (label "killed")
+        in
+        go 0 [] [] None
+      in
+      let whole =
+        let metas = ref [] in
+        let s =
+          Chaos.run ~graph:g ~seed ~specs ~policy ~iterations:k
+            ~checkpoint_every:1
+            ~on_checkpoint:(fun ck ->
+              metas := Supervisor.checkpoint_meta ck :: !metas)
+            ~valuation ()
+        in
+        {
+          metas = List.rev !metas;
+          stats = s.Supervisor.per_iteration;
+          unrecovered = s.Supervisor.unrecovered;
+          summary = Some s;
+        }
+      in
+      let resumed =
+        let rec go i resume metas stats =
+          let last = ref None in
+          let s =
+            Chaos.run ~graph:g ~seed ~specs ~policy ~iterations:(i + 1)
+              ~checkpoint_every:1
+              ~on_checkpoint:(fun ck -> last := Some ck)
+              ?resume ~valuation ()
+          in
+          let metas =
+            match !last with
+            | Some ck -> Supervisor.checkpoint_meta ck :: metas
+            | None -> metas
+          in
+          let stats = List.rev_append s.Supervisor.per_iteration stats in
+          if s.Supervisor.unrecovered <> None || i + 1 = k then
+            let stats = List.rev stats in
+            {
+              metas = List.rev metas;
+              stats;
+              unrecovered = s.Supervisor.unrecovered;
+              summary = Some { s with Supervisor.per_iteration = stats };
+            }
+          else go (i + 1) !last metas stats
+        in
+        go 0 None [] []
+      in
+      List.iter
+        (fun (what, other) ->
+          if stepped.metas <> other.metas then
+            Alcotest.fail (label ("checkpoints differ from " ^ what));
+          if stepped.stats <> other.stats then
+            Alcotest.fail (label ("per-iteration stats differ from " ^ what));
+          if stepped.unrecovered <> other.unrecovered then
+            Alcotest.fail (label ("diagnosis differs from " ^ what));
+          match (stepped.summary, other.summary) with
+          | Some a, Some b when a <> b ->
+              Alcotest.fail (label ("summary differs from " ^ what))
+          | _ -> ())
+        [ ("Supervisor.run", whole); ("resumed Chaos.run", resumed) ];
+      if whole.summary <> resumed.summary then
+        Alcotest.fail (label "resumed summary differs from Supervisor.run"))
+    (fault_sets g)
+
+(* Over all shipped graphs, each fault set reaches the mechanism it is
+   there for — otherwise the equivalence above proves less than it
+   claims. *)
+let test_fault_sets_exercised () =
+  let totals = Hashtbl.create 8 in
+  List.iter
+    (fun file ->
+      let g = Result.get_ok (Serial.load (Filename.concat graphs_dir file)) in
+      let valuation =
+        List.fold_left (fun v p -> Valuation.add p 2 v) Valuation.empty
+          (Graph.parameters g)
+      in
+      List.iter
+        (fun (name, specs, policy) ->
+          let s =
+            Chaos.run ~graph:g ~seed:7 ~specs ~policy ~iterations:4 ~valuation
+              ()
+          in
+          let add key n =
+            let k = (name, key) in
+            Hashtbl.replace totals k
+              (n + Option.value ~default:0 (Hashtbl.find_opt totals k))
+          in
+          add "retries" s.Supervisor.retries;
+          add "skips" s.Supervisor.skips;
+          add "corrupted" s.Supervisor.corrupted;
+          add "ctrl_lost" s.Supervisor.ctrl_lost;
+          add "deadline_misses" s.Supervisor.deadline_misses;
+          add "degrades" (List.length s.Supervisor.degrades);
+          add "restarts" s.Supervisor.restarts;
+          if s.Supervisor.unrecovered <> None then add "unrecovered" 1)
+        (fault_sets g))
+    graph_files;
+  List.iter
+    (fun (name, key) ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt totals (name, key)) in
+      if n = 0 then Alcotest.failf "fault set %s never produced %s" name key)
+    [
+      ("fail", "retries");
+      ("fail", "skips");
+      ("corrupt", "corrupted");
+      ("ctrl-loss", "ctrl_lost");
+      ("overrun+deadline", "deadline_misses");
+      ("overrun+deadline", "degrades");
+      ("max_restarts", "restarts");
+      ("max_restarts", "unrecovered");
+    ]
+
+let session_tests =
+  Alcotest.test_case "fault sets exercised" `Quick test_fault_sets_exercised
+  :: List.map
+       (fun f -> Alcotest.test_case f `Quick (check_session_equivalence f))
+       graph_files
+
 let () =
   Alcotest.run "fault"
     [
@@ -383,4 +603,5 @@ let () =
             test_ofdm_chaos_reproducible;
           Alcotest.test_case "chaos defaults" `Quick test_chaos_defaults;
         ] );
+      ("session-equiv", session_tests);
     ]

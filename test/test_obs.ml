@@ -203,6 +203,26 @@ let test_histogram_single_sample () =
       Alcotest.(check (float 1e-9)) "p50 of singleton" 3.5 s.Metrics.p50;
       Alcotest.(check (float 1e-9)) "p95 of singleton" 3.5 s.Metrics.p95
 
+(* A long-lived histogram holds a bounded window: count, sum, min and
+   max stay exact, the percentiles cover the most recent samples. *)
+let test_histogram_bounded_window () =
+  let m = Metrics.create () in
+  let n = 1_000_000 in
+  for i = 1 to n do
+    Metrics.observe m "lat" (float_of_int i)
+  done;
+  match Metrics.histogram m "lat" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some s ->
+      Alcotest.(check int) "exact count" n s.Metrics.count;
+      Alcotest.(check int) "window capped" 65_536 s.Metrics.window;
+      Alcotest.(check int) "cap constant" 65_536 Metrics.window_cap;
+      Alcotest.(check (float 1e-9)) "exact sum" 500000500000.0 s.Metrics.sum;
+      Alcotest.(check (float 1e-9)) "exact min" 1.0 s.Metrics.min;
+      Alcotest.(check (float 1e-9)) "exact max" (float_of_int n) s.Metrics.max;
+      (* the window is samples 934465 .. 1000000 *)
+      Alcotest.(check (float 1e-6)) "p50 of the window" 967232.5 s.Metrics.p50
+
 let test_counter_monotonic () =
   let m = Metrics.create () in
   Metrics.incr m "c";
@@ -688,6 +708,8 @@ let () =
           Alcotest.test_case "small-sample percentiles" `Quick
             test_histogram_small_sample;
           Alcotest.test_case "singleton histogram" `Quick test_histogram_single_sample;
+          Alcotest.test_case "bounded histogram window" `Quick
+            test_histogram_bounded_window;
           Alcotest.test_case "counter monotonicity" `Quick test_counter_monotonic;
         ] );
       ( "collector",

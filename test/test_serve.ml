@@ -514,6 +514,84 @@ let test_reconfigure () =
   Alcotest.(check bool) "tenant still advances" true
     (is_ok (rpc d (advance_req ~name:"r" 1)))
 
+(* A resident tenant keeps its supervisor session across advances; a
+   reconfigure must retire it.  The twin reaches the same point through
+   an eviction, so its advance rebuilds everything from the checkpoint
+   store: any state the live session kept from p=1 shows up as a
+   difference. *)
+let test_reconfigure_rebuilds_session () =
+  with_temp_dir @@ fun dir ->
+  let firings d = Metrics.counter (D.metrics d) "serve.firings" in
+  let reconfigure_p4 =
+    [
+      ("id", J.String "rc");
+      ("op", J.String "reconfigure");
+      ("name", J.String "r");
+      ("params", J.Obj [ ("p", J.Int 4) ]);
+    ]
+  in
+  let script d ~evict =
+    ignore (rpc d (submit_req ~name:"r" ~params:[ ("p", 1) ] (Lazy.force fig2)));
+    let f0 = firings d in
+    ignore (rpc d (advance_req ~id:"a1" ~name:"r" 2));
+    let f1 = firings d in
+    Alcotest.(check bool) "reconfigure ok" true (is_ok (rpc d reconfigure_p4));
+    if evict then
+      Alcotest.(check bool) "evict ok" true
+        (is_ok
+           (rpc d
+              [ ("id", J.String "ev"); ("op", J.String "evict"); ("name", J.String "r") ]));
+    let resp = rpc d (advance_req ~id:"a2" ~name:"r" 2) in
+    (resp, f1 - f0, firings d - f1)
+  in
+  let live, p1_firings, p4_firings = script (daemon ()) ~evict:false in
+  let twin, _, twin_firings =
+    script
+      (daemon ~cfg:{ D.default_config with D.state_dir = Some dir } ())
+      ~evict:true
+  in
+  Alcotest.(check string) "advance after reconfigure = evicted twin" twin live;
+  Alcotest.(check int) "same firings as the twin" twin_firings p4_firings;
+  (* p=4 iterations, run fresh at p=4 *)
+  let fresh = daemon () in
+  ignore (rpc fresh (submit_req ~name:"r" ~params:[ ("p", 4) ] (Lazy.force fig2)));
+  let f0 = firings fresh in
+  ignore (rpc fresh (advance_req ~name:"r" 2));
+  Alcotest.(check int) "firings reflect p=4" (firings fresh - f0) p4_firings;
+  Alcotest.(check bool) "p=4 fires more than p=1" true (p4_firings > p1_firings)
+
+(* Sessions are built once per resident configuration: advances reuse
+   them; only a submit, a reconfigure or a revive leads to a new one. *)
+let test_compiles_counter () =
+  with_temp_dir @@ fun dir ->
+  let d = daemon ~cfg:{ D.default_config with D.state_dir = Some dir } () in
+  let compiles () = Metrics.counter (D.metrics d) "serve.compiles" in
+  ignore (rpc d (submit_req ~name:"c" ~params:[ ("p", 2) ] (Lazy.force fig2)));
+  for i = 1 to 50 do
+    Alcotest.(check bool) "advance ok" true
+      (is_ok (rpc d (advance_req ~id:(string_of_int i) ~name:"c" 1)))
+  done;
+  Alcotest.(check int) "50 advances, one session" 1 (compiles ());
+  ignore (rpc d (query_req "c"));
+  ignore (rpc d (advance_req ~name:"c" 5));
+  Alcotest.(check int) "queries and multi-iteration advances reuse it" 1
+    (compiles ());
+  ignore
+    (rpc d
+       [
+         ("id", J.String "rc");
+         ("op", J.String "reconfigure");
+         ("name", J.String "c");
+         ("params", J.Obj [ ("p", J.Int 3) ]);
+       ]);
+  ignore (rpc d (advance_req ~name:"c" 3));
+  Alcotest.(check int) "a reconfigure adds one" 2 (compiles ());
+  ignore
+    (rpc d [ ("id", J.String "ev"); ("op", J.String "evict"); ("name", J.String "c") ]);
+  ignore (rpc d (advance_req ~name:"c" 3));
+  Alcotest.(check int) "a revive adds one" 3 (compiles ());
+  Alcotest.(check int) "done" 61 (int_field (rpc d (query_req "c")) "done")
+
 (* ------------------------------------------------------------------ *)
 (* Tick, metrics, checkpoint ops                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1334,7 +1412,13 @@ let () =
       ( "eviction",
         [ Alcotest.test_case "evict/revive transparent" `Quick test_evict_revive ] );
       ( "reconfigure",
-        [ Alcotest.test_case "swap valuation" `Quick test_reconfigure ] );
+        [
+          Alcotest.test_case "swap valuation" `Quick test_reconfigure;
+          Alcotest.test_case "session rebuilt after reconfigure" `Quick
+            test_reconfigure_rebuilds_session;
+          Alcotest.test_case "one session per configuration" `Quick
+            test_compiles_counter;
+        ] );
       ( "ops",
         [
           Alcotest.test_case "tick shards the fleet" `Quick test_tick;
