@@ -724,7 +724,7 @@ let e17_engine () =
   Printf.printf "wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* E18: multicore scaling — domain sweep over kernels and engine       *)
+(* E18: multicore scaling — domain sweep over data-parallel kernels    *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Tpdf_par.Pool
@@ -737,22 +737,13 @@ type e18_edge_run = {
   mpix_per_sec : float;
 }
 
-type e18_engine_run = {
-  g_name : string;
-  g_actors : int;
-  g_domains : int;
-  g_events : int;
-  g_wall_ms : float;
-  g_events_per_sec : float;
-}
-
 let e18_time f =
   let t0 = Tpdf_obs.Obs.now_wall_ms () in
   f ();
   Tpdf_obs.Obs.now_wall_ms () -. t0
 
 let e18_par () =
-  section "E18" "Multicore scaling: domain sweep over kernels and engine";
+  section "E18" "Multicore scaling: domain sweep over data-parallel kernels";
   let smoke = bench_smoke in
   let cores = Pool.recommended () in
   let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
@@ -796,66 +787,6 @@ let e18_par () =
           detectors)
       sides
   in
-  (* -- engine: parallel ready-set firing on the E17 graphs ---------- *)
-  (* The fan graph has the widest same-instant ready sets, so it is the
-     topology where parallel firing can pay; the chain bounds the
-     orchestration overhead (ready sets of one actor). *)
-  let configs =
-    if smoke then
-      [ ("chain", synth_chain 100, 20); ("fan", synth_fan 100, 20) ]
-    else
-      [
-        ("chain", synth_chain 1000, 100);
-        ("fan", synth_fan 1000, 100);
-        ("grid", synth_grid 32 32, 100);
-      ]
-  in
-  Printf.printf "%-6s %8s %8s %9s %10s %14s %9s\n" "graph" "actors" "domains"
-    "events" "wall ms" "events/sec" "speedup";
-  let engine_runs =
-    List.concat_map
-      (fun (g_name, g, iterations) ->
-        let actors = List.length (Graph.actors g) in
-        let base = ref nan in
-        List.map
-          (fun domains ->
-            let pool = Pool.create ~domains in
-            Fun.protect
-              ~finally:(fun () -> Pool.shutdown pool)
-              (fun () ->
-                let eng =
-                  Engine.create ~graph:g ~valuation:Valuation.empty
-                    ~pool ~default:0 ()
-                in
-                let events = ref 0 in
-                let wall =
-                  e18_time (fun () ->
-                      let stats =
-                        Engine.run ~iterations ~max_events:10_000_000 eng
-                      in
-                      events :=
-                        List.fold_left
-                          (fun acc (_, n) -> acc + n)
-                          0 stats.Engine.firings)
-                in
-                if domains = 1 then base := wall;
-                let eps =
-                  if wall <= 0.0 then 0.0
-                  else 1000.0 *. float_of_int !events /. wall
-                in
-                Printf.printf "%-6s %8d %8d %9d %10.1f %14.0f %8.2fx\n%!"
-                  g_name actors domains !events wall eps (!base /. wall);
-                {
-                  g_name;
-                  g_actors = actors;
-                  g_domains = domains;
-                  g_events = !events;
-                  g_wall_ms = wall;
-                  g_events_per_sec = eps;
-                }))
-          domain_counts)
-      configs
-  in
   (* -- BENCH_par.json ---------------------------------------------- *)
   let out =
     match Sys.getenv_opt "TPDF_BENCH_PAR_OUT" with
@@ -875,11 +806,11 @@ let e18_par () =
     (if cores < 4 then
        Printf.sprintf
          "machine exposes %d core(s): pool domains beyond that time-share \
-          one core, so speedup is bounded near 1.0x regardless of domain \
+          them, so speedup is bounded near %d.0x regardless of domain \
           count; the determinism contract (bit-identical results at any \
           domain count) is what these runs certify here. See EXPERIMENTS.md \
           E18."
-         cores
+         cores cores
      else
        "speedup is wall_ms at 1 domain divided by wall_ms at d domains, \
         same workload");
@@ -900,25 +831,6 @@ let e18_par () =
         (speedup_of ~wall_1 r.e_wall_ms)
         (if i = List.length edge_runs - 1 then "" else ","))
     edge_runs;
-  fp "  ],\n";
-  fp "  \"engine\": [\n";
-  List.iteri
-    (fun i r ->
-      let wall_1 =
-        (List.find
-           (fun r' -> r'.g_name = r.g_name && r'.g_domains = 1)
-           engine_runs)
-          .g_wall_ms
-      in
-      fp
-        "    { \"graph\": %S, \"actors\": %d, \"domains\": %d, \"events\": \
-         %d, \"wall_ms\": %.3f, \"events_per_sec\": %.1f, \"speedup_vs_1\": \
-         %.3f }%s\n"
-        r.g_name r.g_actors r.g_domains r.g_events r.g_wall_ms
-        r.g_events_per_sec
-        (speedup_of ~wall_1 r.g_wall_ms)
-        (if i = List.length engine_runs - 1 then "" else ","))
-    engine_runs;
   fp "  ]\n";
   fp "}\n";
   close_out oc;
@@ -1023,8 +935,9 @@ let e19_ckpt () =
                   | Error m -> failwith ("E19 graph re-parse: " ^ m)
                   | Ok g' ->
                       ignore
-                        (Engine.restore ~graph:g'
-                           ~valuation:(Valuation.of_list f.Ckpt.valuation)
+                        (Engine.restore
+                           (Engine.compile ~graph:g'
+                              ~valuation:(Valuation.of_list f.Ckpt.valuation))
                            ~default:0 ~decode:int_of_string
                            (Option.get f.Ckpt.snapshot));
                       Tpdf_obs.Obs.now_wall_ms () -. t0)

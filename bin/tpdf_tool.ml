@@ -103,7 +103,7 @@ let backend_arg =
     "Execute with the compiled static-schedule backend instead of the \
      event interpreter.  Output is byte-identical; the engine falls back \
      to the interpreter transparently when the backend cannot engage \
-     (clocked actors, domain pools, non-uniform firing durations)."
+     (clocked actors, non-uniform firing durations)."
   in
   Term.(
     app
@@ -256,10 +256,9 @@ let cmd_throughput name params pes =
   | Some s -> Format.printf "single-appearance schedule: %a@." Csdf.Sas.pp s
   | None -> Format.printf "no single-appearance schedule (interleaving required)@."
 
-(* TPDF_DOMAINS=d runs the simulation sweeps on a d-domain pool.  The
-   engine's determinism contract makes the outputs bit-identical to the
-   sequential run, so this is safe to honor silently; it exists to
-   exercise and time the parallel runtime from the CLI. *)
+(* TPDF_DOMAINS=d gives [serve] a d-domain pool, across which the daemon
+   shards [tick] batches.  Each tenant's engine runs on one domain, so
+   responses are bit-identical to a pool-less daemon's. *)
 let with_env_pool f =
   match Sys.getenv_opt "TPDF_DOMAINS" with
   | None -> f None
@@ -304,8 +303,7 @@ let instrumented_run name params pes iterations backend =
   (* Simulation: sweep every mode scenario so each kernel exercises each of
      its modes (and `reconfig` instants mark the boundaries). *)
   (match
-     with_env_pool @@ fun pool ->
-     Sim.Reconfigure.run_scenarios ~graph:g ~backend ~obs ~iterations ?pool
+     Sim.Reconfigure.run_scenarios ~graph:g ~backend ~obs ~iterations
        ~valuation:v ~default:0
        (Sim.Reconfigure.mode_scenarios g)
    with
@@ -380,8 +378,7 @@ let cmd_top name params iterations refresh_ms sample ring_cap limit
   let v = need_valuation g params in
   let skel = Graph.skeleton g in
   let obs, ring = production_obs ~sample ~ring_cap in
-  with_env_pool @@ fun pool ->
-  let eng = Sim.Engine.create ~graph:g ~valuation:v ~obs ?pool ~default:0 () in
+  let eng = Sim.Engine.create ~graph:g ~valuation:v ~obs ~default:0 () in
   let in_ids =
     List.map
       (fun a ->
@@ -473,7 +470,6 @@ let cmd_analyze_trace name params tolerance max_iters show_path =
   let platform = Platform.uniform pes in
   let scenarios = Sim.Reconfigure.mode_scenarios g in
   let mismatches = ref 0 and bound_bugs = ref 0 in
-  with_env_pool @@ fun pool ->
   List.iter
     (fun scenario ->
       Format.printf "@[<v>scenario %s@,"
@@ -498,8 +494,8 @@ let cmd_analyze_trace name params tolerance max_iters show_path =
       let run_window k =
         let o = Obs.create () in
         let eng =
-          Sim.Engine.create ~graph:g ~valuation:v ~behaviors ~obs:o ?pool
-            ~default:0 ()
+          Sim.Engine.create ~graph:g ~valuation:v ~behaviors ~obs:o ~default:0
+            ()
         in
         let stats = Sim.Engine.run ~iterations:k ~targets eng in
         obs := o;
@@ -799,9 +795,8 @@ let run_chaos cfg g v ~store ~every ~kill_at ~resume ~trace_out =
   let obs = Obs.create () in
   let summary =
     match
-      with_env_pool @@ fun pool ->
       Fault.Chaos.run ~graph:g ~seed:cfg.cc_seed ~specs ~policy ?scenario
-        ~iterations:cfg.cc_iterations ~obs ?pool ~valuation:v
+        ~iterations:cfg.cc_iterations ~obs ~valuation:v
         ~behaviors:(chaos_behaviors g v) ?kill_at_ms:kill_at
         ?checkpoint_every:every ?on_checkpoint ?resume ()
     with
@@ -928,8 +923,7 @@ let cmd_run name params iterations every dir kill_at backend =
   if iterations < 1 then or_die (Error "iterations must be >= 1");
   let store = open_store dir in
   check_ckpt_flags ~every ~kill_at ~store;
-  with_env_pool @@ fun pool ->
-  let eng = Sim.Engine.create ~graph:g ~valuation:v ?pool ~default:0 () in
+  let eng = Sim.Engine.create ~graph:g ~valuation:v ~default:0 () in
   drive_run ~name ~graph:g ~valuation:v ~store ~every ~kill_at ~iterations
     ~from:0 ~backend eng
 
@@ -944,11 +938,11 @@ let resume_run file ~store ~every ~kill_at ~backend =
     | Some s -> s
     | None -> or_die (Error "checkpoint: run checkpoint carries no snapshot")
   in
-  with_env_pool @@ fun pool ->
   let eng =
     match
-      Sim.Engine.restore ~graph:g ~valuation:v ?pool ~default:0
-        ~decode:int_of_string snap
+      Sim.Engine.restore
+        (Sim.Engine.compile ~graph:g ~valuation:v)
+        ~default:0 ~decode:int_of_string snap
     with
     | eng -> eng
     | exception Invalid_argument m -> or_die (Error ("checkpoint: " ^ m))

@@ -42,11 +42,11 @@ let with_defaults graph policy scenario =
     match scenario with Some s -> s | None -> default_scenario graph )
 
 let run ~graph ~seed ~specs ?backend ?policy ?scenario ?iterations ?obs
-    ?behaviors ?pool ?kill_at_ms ?checkpoint_every ?on_checkpoint ?resume
+    ?behaviors ?kill_at_ms ?checkpoint_every ?on_checkpoint ?resume
     ~valuation () =
   let policy, scenario = with_defaults graph policy scenario in
   Supervisor.run ~graph ~plan:(Plan.make ~seed specs) ?backend ~policy ?obs
-    ?behaviors ~scenario ?iterations ?pool ?kill_at_ms ?checkpoint_every
+    ?behaviors ~scenario ?iterations ?kill_at_ms ?checkpoint_every
     ?on_checkpoint ?resume ~encode:string_of_int ~decode:int_of_string
     ~valuation ~default:0 ()
 

@@ -30,7 +30,6 @@ val run :
   ?iterations:int ->
   ?obs:Tpdf_obs.Obs.t ->
   ?behaviors:(string * int Tpdf_sim.Behavior.t) list ->
-  ?pool:Tpdf_par.Pool.t ->
   ?kill_at_ms:float ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Supervisor.checkpoint -> unit) ->

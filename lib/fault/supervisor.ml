@@ -221,32 +221,9 @@ type state = {
   skipped_now : (string, unit) Hashtbl.t;  (* actors whose current firing
                                               was substituted *)
   last_ctrl : (int, string) Hashtbl.t;  (* control channel -> last mode *)
-  lock : Mutex.t;
-      (* With a pooled engine the [work] wrappers of same-instant firings
-         run on different domains; every access to the mutable state
-         above goes through [locked].  The final values are still
-         deterministic — counters commute and the hashtables are keyed
-         per actor / per control channel, which same-instant firings
-         touch disjointly — with one documented exception: if two watch
-         actors trip at the same virtual instant, the order of their
-         [degrades] entries follows actor scheduling (obs streams and
-         metrics are unaffected; they are capture-spliced by the
-         engine).  Firings of the same actor never overlap, so the
-         wrapper's read-modify-write sequences stay atomic enough under
-         the single lock. *)
 }
 
 let get tbl key = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0
-
-let locked st f =
-  Mutex.lock st.lock;
-  match f () with
-  | v ->
-      Mutex.unlock st.lock;
-      v
-  | exception e ->
-      Mutex.unlock st.lock;
-      raise e
 
 let metric st name actor =
   let m = Obs.metrics st.obs in
@@ -314,16 +291,15 @@ let substitute_mode st ch =
 
 (* Remember the mode each control channel last carried. *)
 let record_ctrl st ~is_ctrl_chan outputs =
-  locked st (fun () ->
-      List.iter
-        (fun (ch, toks) ->
-          if is_ctrl_chan ch then
-            List.iter
-              (function
-                | Token.Ctrl m -> Hashtbl.replace st.last_ctrl ch m
-                | Token.Data _ -> ())
-              toks)
-        outputs)
+  List.iter
+    (fun (ch, toks) ->
+      if is_ctrl_chan ch then
+        List.iter
+          (function
+            | Token.Ctrl m -> Hashtbl.replace st.last_ctrl ch m
+            | Token.Data _ -> ())
+          toks)
+    outputs
 
 (* The fault-injecting wrapper: draws the plan's faults for every firing
    and applies the policy to them. *)
@@ -334,13 +310,13 @@ let wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor (b : 'a Behavior.t) :
     let faults = Plan.draw st.plan ~actor ~index:(global_index ctx) in
     let ts = ctx.Behavior.now_ms in
     let fails = fail_count faults in
-    locked st (fun () -> Hashtbl.remove st.skipped_now actor);
+    Hashtbl.remove st.skipped_now actor;
     let outputs =
       if fails = 0 then b.Behavior.work ctx
       else begin
         let budget = st.policy.Policy.max_retries in
         let absorbed = min fails budget in
-        locked st (fun () -> st.retries <- st.retries + absorbed);
+        st.retries <- st.retries + absorbed;
         Metrics.incr ~by:absorbed (Obs.metrics st.obs) "supervisor.retries";
         Metrics.incr ~by:absorbed (Obs.metrics st.obs)
           ("supervisor.retries." ^ actor);
@@ -350,23 +326,22 @@ let wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor (b : 'a Behavior.t) :
         else begin
           (* Retry budget exhausted: skip the firing and substitute default
              tokens at the declared rates, preserving rate consistency. *)
-          locked st (fun () ->
-              st.skips <- st.skips + 1;
-              metric st "skips" actor;
-              Hashtbl.replace st.skipped_now actor ();
-              instant st ~cat:"supervisor" ~track:actor ~name:"skip" ~ts
-                [ ("injected", Ev.Int fails) ];
-              note_bad st ~actor ~ts;
-              Behavior.produce_at_rates ctx (fun ch _ ->
-                  if is_ctrl_chan ch then Token.Ctrl (substitute_mode st ch)
-                  else Token.Data default))
+          st.skips <- st.skips + 1;
+          metric st "skips" actor;
+          Hashtbl.replace st.skipped_now actor ();
+          instant st ~cat:"supervisor" ~track:actor ~name:"skip" ~ts
+            [ ("injected", Ev.Int fails) ];
+          note_bad st ~actor ~ts;
+          Behavior.produce_at_rates ctx (fun ch _ ->
+              if is_ctrl_chan ch then Token.Ctrl (substitute_mode st ch)
+              else Token.Data default)
         end
       end
     in
     let outputs =
       if
         List.mem Fault.Corrupt faults
-        && not (locked st (fun () -> Hashtbl.mem st.skipped_now actor))
+        && not (Hashtbl.mem st.skipped_now actor)
       then
         List.map
           (fun (ch, toks) ->
@@ -382,7 +357,7 @@ let wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor (b : 'a Behavior.t) :
                     | tok -> tok)
                   toks
               in
-              locked st (fun () -> st.corrupted <- st.corrupted + !n);
+              st.corrupted <- st.corrupted + !n;
               Metrics.incr ~by:!n (Obs.metrics st.obs) "supervisor.corrupted";
               Metrics.incr ~by:!n (Obs.metrics st.obs)
                 ("supervisor.corrupted." ^ actor);
@@ -399,11 +374,11 @@ let wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor (b : 'a Behavior.t) :
           (fun (ch, toks) ->
             if not (is_ctrl_chan ch) then (ch, toks)
             else
-              match locked st (fun () -> Hashtbl.find_opt st.last_ctrl ch) with
+              match Hashtbl.find_opt st.last_ctrl ch with
               | None -> (ch, toks) (* nothing emitted yet: loss is moot *)
               | Some prev ->
                   let n = List.length toks in
-                  locked st (fun () -> st.ctrl_lost <- st.ctrl_lost + n);
+                  st.ctrl_lost <- st.ctrl_lost + n;
                   Metrics.incr ~by:n (Obs.metrics st.obs)
                     "supervisor.ctrl_lost";
                   Metrics.incr ~by:n (Obs.metrics st.obs)
@@ -434,28 +409,21 @@ let wrap_faulty st ~default ~corrupt ~is_ctrl_chan actor (b : 'a Behavior.t) :
       +. float_of_int (min (fail_count faults) st.policy.Policy.max_retries)
          *. st.policy.Policy.retry_backoff_ms
     in
-    (* [duration_ms] runs on the orchestrating domain (the pooled engine
-       commits sequentially), but take the lock anyway: it is cheap and
-       keeps the wrapper safe under any caller. *)
-    locked st (fun () ->
-        match Policy.deadline_of st.policy actor with
-        | Some deadline when not (Hashtbl.mem st.skipped_now actor) ->
-            if d > deadline then begin
-              st.deadline_misses <- st.deadline_misses + 1;
-              metric st "deadline_misses" actor;
-              instant st ~cat:"supervisor" ~track:actor ~name:"deadline-miss"
-                ~ts
-                [
-                  ("duration_ms", Ev.Float d); ("deadline_ms", Ev.Float deadline);
-                ];
-              note_bad st ~actor ~ts
-            end
-            else begin
-              st.deadline_hits <- st.deadline_hits + 1;
-              metric st "deadline_hits" actor;
-              note_good st ~actor
-            end
-        | _ -> ());
+    (match Policy.deadline_of st.policy actor with
+    | Some deadline when not (Hashtbl.mem st.skipped_now actor) ->
+        if d > deadline then begin
+          st.deadline_misses <- st.deadline_misses + 1;
+          metric st "deadline_misses" actor;
+          instant st ~cat:"supervisor" ~track:actor ~name:"deadline-miss" ~ts
+            [ ("duration_ms", Ev.Float d); ("deadline_ms", Ev.Float deadline) ];
+          note_bad st ~actor ~ts
+        end
+        else begin
+          st.deadline_hits <- st.deadline_hits + 1;
+          metric st "deadline_hits" actor;
+          note_good st ~actor
+        end
+    | _ -> ());
     d
   in
   { Behavior.work; duration_ms }
@@ -583,14 +551,12 @@ type 'a wiring = {
 type 'a session = {
   st : state;
   obs : Obs.t;  (* the caller's collector; [st.obs] is its shifted view *)
-  valuation : Tpdf_param.Valuation.t;
   program : Engine.program Lazy.t;
   behaviors : (string * 'a Behavior.t) list;
   scenario : Reconfigure.scenario;
   default : 'a;
   corrupt : 'a -> 'a;
   backend : [ `Event | `Compiled ] option;
-  pool : Tpdf_par.Pool.t option;
   kill_at_ms : float option;
   encode : ('a -> string) option;
   decode : (string -> 'a) option;
@@ -609,7 +575,7 @@ type step =
   | Gave_up of string * Engine.stats option
 
 let session ~graph ~plan ?backend ?(policy = Policy.default)
-    ?(obs = Obs.disabled) ?(behaviors = []) ?(scenario = []) ?corrupt ?pool
+    ?(obs = Obs.disabled) ?(behaviors = []) ?(scenario = []) ?corrupt
     ?kill_at_ms ?resume ?encode ?decode ~valuation ~default () =
   Reconfigure.validate_scenario graph scenario;
   (match Policy.validate graph policy with
@@ -647,21 +613,18 @@ let session ~graph ~plan ?backend ?(policy = Policy.default)
       base_index = Hashtbl.create 16;
       skipped_now = Hashtbl.create 8;
       last_ctrl = Hashtbl.create 8;
-      lock = Mutex.create ();
     }
   in
   let s =
     {
       st;
       obs;
-      valuation;
       program = lazy (Engine.compile ~graph ~valuation);
       behaviors;
       scenario;
       default;
       corrupt = (match corrupt with Some f -> f | None -> fun _ -> default);
       backend;
-      pool;
       kill_at_ms;
       encode;
       decode;
@@ -824,15 +787,15 @@ let rec attempt s =
         Gave_up (why, partial)
   in
   match
+    let program = Lazy.force s.program in
     let eng =
       match resuming with
       | Some (snap, _) ->
-          Engine.restore ~graph:st.graph ~valuation:s.valuation
-            ~behaviors:w.w_behaviors ~obs:st.obs ?pool:s.pool
+          Engine.restore program ~behaviors:w.w_behaviors ~obs:st.obs
             ~default:s.default ~decode:(Option.get s.decode) snap
       | None ->
-          Engine.instantiate (Lazy.force s.program) ~behaviors:w.w_behaviors
-            ~obs:st.obs ?pool:s.pool ~default:s.default ()
+          Engine.instantiate program ~behaviors:w.w_behaviors ~obs:st.obs
+            ~default:s.default ()
     in
     (Engine.run_outcome ?backend:s.backend ?until_ms ~targets:w.w_targets eng, eng)
   with
@@ -878,7 +841,7 @@ let step s =
       attempt s
 
 let run ~graph ~plan ?backend ?policy ?(obs = Obs.disabled) ?behaviors
-    ?scenario ?(iterations = 1) ?corrupt ?pool ?kill_at_ms ?checkpoint_every
+    ?scenario ?(iterations = 1) ?corrupt ?kill_at_ms ?checkpoint_every
     ?on_checkpoint ?resume ?encode ?decode ~valuation ~default () =
   if iterations < 1 then invalid_arg "Supervisor.run: iterations must be >= 1";
   (match checkpoint_every with
@@ -887,7 +850,7 @@ let run ~graph ~plan ?backend ?policy ?(obs = Obs.disabled) ?behaviors
   | _ -> ());
   let s =
     session ~graph ~plan ?backend ?policy ~obs ?behaviors ?scenario ?corrupt
-      ?pool ?kill_at_ms ?resume ?encode ?decode ~valuation ~default ()
+      ?kill_at_ms ?resume ?encode ?decode ~valuation ~default ()
   in
   let per_iteration = ref [] in
   let rec loop () =

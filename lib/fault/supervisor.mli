@@ -101,7 +101,6 @@ val run :
   ?scenario:Tpdf_sim.Reconfigure.scenario ->
   ?iterations:int ->
   ?corrupt:('a -> 'a) ->
-  ?pool:Tpdf_par.Pool.t ->
   ?kill_at_ms:float ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(checkpoint -> unit) ->
@@ -127,12 +126,11 @@ val run :
     instants (["skip"], ["deadline-miss"], ["degrade"], ["stall"]), plus
     [supervisor.*] counters in the metrics registry.
 
-    [pool] is handed to every engine the supervisor creates: iterations
-    execute in deterministic parallel mode (see {!Tpdf_sim.Engine.create})
-    and the summary and event streams stay byte-identical to a sequential
-    run.  The wrappers' bookkeeping is lock-protected for this; the one
-    caveat is the order of [degrades] entries when two distinct watch
-    actors trip at the same virtual instant.
+    A run executes on the calling domain and its state is its own, so
+    the wrappers' bookkeeping takes no lock; separate runs and sessions
+    may step on separate domains at once (as [Tpdf_serve.Daemon]'s
+    [tick] does), but one session must not be stepped from two domains
+    at the same time.
 
     Stalls, event-budget exhaustion and behaviour-contract violations do
     not raise: while the policy's restart budget lasts, the failed
@@ -165,7 +163,8 @@ val run :
     set up once — scenario and policy validated, state tables built,
     the engine {!Tpdf_sim.Engine.program} compiled on first use,
     behaviours wrapped once per effective scenario — and each {!step}
-    then costs one engine instance and one iteration.  Stepping a
+    then costs one engine instance and one iteration.  A mid-iteration
+    [resume] restores its engine from the same program.  Stepping a
     session [k] times is byte-identical to [run ~iterations:k] and to
     [k] single-iteration [run]s each resumed from the previous one's
     boundary checkpoint. *)
@@ -191,7 +190,6 @@ val session :
   ?behaviors:(string * 'a Tpdf_sim.Behavior.t) list ->
   ?scenario:Tpdf_sim.Reconfigure.scenario ->
   ?corrupt:('a -> 'a) ->
-  ?pool:Tpdf_par.Pool.t ->
   ?kill_at_ms:float ->
   ?resume:checkpoint ->
   ?encode:('a -> string) ->

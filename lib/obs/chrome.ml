@@ -37,17 +37,6 @@ let json_of_args args =
 
 let pid_of = function Event.Virtual -> 1 | Event.Wall -> 2
 
-(* Events stamped with a ("domain", Int d) argument — the parallel
-   engine's per-domain stage spans — get a process of their own (pid
-   3 + d), so Perfetto groups them per domain instead of one flat
-   track. *)
-let domain_of (ev : Event.t) =
-  match List.assoc_opt "domain" ev.args with
-  | Some (Event.Int d) when d >= 0 -> Some d
-  | _ -> None
-
-let domain_pid d = 3 + d
-
 (* Microsecond timestamps with sub-microsecond precision preserved. *)
 let us ms = Printf.sprintf "%.4f" (ms *. 1000.0)
 
@@ -82,25 +71,20 @@ let json_of_events ?(process_names = ("simulation (virtual time)", "analyses (wa
         tid
   in
   let seen_pids = Hashtbl.create 2 in
-  let pid_of_event clock domain =
-    let pid, name =
-      match domain with
-      | Some d -> (domain_pid d, Printf.sprintf "domain %d (tpdf_par)" d)
-      | None ->
-          let vname, wname = process_names in
-          ( pid_of clock,
-            match clock with Event.Virtual -> vname | Event.Wall -> wname )
-    in
+  let pid_of_event clock =
+    let pid = pid_of clock in
     if not (Hashtbl.mem seen_pids pid) then begin
       Hashtbl.replace seen_pids pid ();
       sep ();
-      add_meta buf ~pid ~tid:None ~what:"process_name" ~name
+      let vname, wname = process_names in
+      add_meta buf ~pid ~tid:None ~what:"process_name"
+        ~name:(match clock with Event.Virtual -> vname | Event.Wall -> wname)
     end;
     pid
   in
   List.iter
     (fun (ev : Event.t) ->
-      let pid = pid_of_event ev.clock (domain_of ev) in
+      let pid = pid_of_event ev.clock in
       let tid = tid_of pid ev.track in
       let common =
         Printf.sprintf

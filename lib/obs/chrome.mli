@@ -2,11 +2,7 @@
 
     Spans become complete ("X") events, instants "i" events and counters
     "C" series.  Virtual-time events live in process 1, wall-clock events
-    in process 2, and every {!Event.t.track} becomes a named thread.
-    Events carrying a [("domain", Int d)] argument — the parallel
-    engine's per-domain stage spans — are grouped into a process of
-    their own (pid [3 + d]) with a ["domain d (tpdf_par)"] process-name
-    metadata record, so Perfetto shows one lane per domain. *)
+    in process 2, and every {!Event.t.track} becomes a named thread. *)
 
 val json_of_events : ?process_names:string * string -> Event.t list -> string
 (** [process_names] are the (virtual, wall) process labels. *)

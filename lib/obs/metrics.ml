@@ -27,12 +27,10 @@ let create () =
 
 (* Domain-local capture: while a registry is being captured on the
    current domain, its updates are recorded into a buffer instead of
-   being applied, and {!replay} applies them later in recorded order.
-   This is how the parallel engine keeps metrics bit-identical to a
-   sequential run: each same-instant firing records on its own domain,
-   and the buffers are replayed in ascending actor id at commit time.
-   Registries are not otherwise synchronized — uncaptured updates must
-   stay on the owning domain. *)
+   being applied, and {!replay} applies them later in recorded order —
+   or the buffer is dropped, when a transaction rolls back.  Registries
+   are not otherwise synchronized — uncaptured updates must stay on the
+   owning domain. *)
 type op =
   | Op_incr of string * int
   | Op_gauge of string * float

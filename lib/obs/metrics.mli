@@ -40,13 +40,12 @@ val histogram : t -> string -> histogram_stats option
 
 (** {2 Domain-local capture}
 
-    Machinery for deterministic parallel instrumentation (used by the
-    engine's pool mode through [Obs]): between {!capture_begin} and
-    {!capture_end}, updates to the captured registry made {e on the
-    current domain} are recorded into the returned buffer instead of
-    being applied; {!replay} later applies them in recorded order.
-    Replaying per-task buffers in a fixed task order makes the final
-    registry bit-identical to the sequential run.  Captures nest as a
+    Staging for work that may be rolled back (used through [Obs]
+    capture): between {!capture_begin} and {!capture_end}, updates to
+    the captured registry made {e on the current domain} are recorded
+    into the returned buffer instead of being applied; {!replay} later
+    applies them in recorded order, and dropping the buffer discards
+    them.  Captures nest as a
     per-domain stack — the innermost capture of a registry receives its
     updates, and a {!replay} under an enclosing capture re-stages into
     it (mirroring [Obs] capture nesting).  A registry is not otherwise

@@ -76,9 +76,9 @@ type capture = {
 (* Captures nest as a per-domain stack (mirroring [Metrics]): the
    innermost capture targeting a store receives its events, and a
    [splice] executed while an enclosing capture is active re-stages the
-   buffer into it instead of delivering — so the parallel engine's
-   per-firing captures compose with a transaction capture staging a
-   whole iteration for possible rollback. *)
+   buffer into it instead of delivering — so a reconfiguration
+   transaction and a supervised iteration can each stage their events
+   for possible rollback, one inside the other. *)
 let capture_slot : capture list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 

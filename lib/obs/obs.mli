@@ -73,24 +73,22 @@ val emit : t -> Event.t -> unit
 
 (** {2 Domain-local capture}
 
-    Support for the engine's deterministic pool mode: a task running on
-    any domain brackets its instrumentation with
+    Staging for work that may be rolled back: code running on any
+    domain brackets its instrumentation with
     {!capture_begin}/{!capture_end}, which diverts every event bound for
     this collector's store — including emissions through {!shift} views,
     which share the store — into a private buffer, together with the
-    collector's metrics updates (see [Metrics] capture).  The
-    orchestrating domain then applies the buffers in a deterministic
-    order with {!splice}, reproducing the sequential event stream and
-    registry bit for bit.  The store itself is only ever touched by one
-    domain at a time: capturing tasks write their own buffers, and
-    splicing happens after the batch has been joined.
+    collector's metrics updates (see [Metrics] capture).  {!splice} then
+    delivers a buffer as if it had been emitted directly, and dropping a
+    buffer discards it.  The store itself is only ever touched by one
+    domain at a time: capturing code writes its own buffer.
 
     Captures {e nest} (a per-domain stack): the innermost capture of a
     store receives emissions, and a {!splice} performed while an
     enclosing capture is active re-stages the buffer into the enclosing
     one instead of delivering.  [Tpdf_sim.Reconfigure] and
-    [Tpdf_fault.Supervisor] rely on this to stage a whole iteration —
-    pooled engine included — and discard it on transaction abort. *)
+    [Tpdf_fault.Supervisor] rely on this to stage a whole iteration and
+    discard it on transaction abort. *)
 
 type capture
 

@@ -56,20 +56,6 @@ let family_of name =
         | None -> None)
     | None -> None
   in
-  let try_domain () =
-    (* domain.<N>.<what> *)
-    match strip "domain." with
-    | Some rest -> (
-        match String.index_opt rest '.' with
-        | Some i ->
-            let d = String.sub rest 0 i in
-            let what = String.sub rest (i + 1) (String.length rest - i - 1) in
-            if d <> "" && what <> "" && not (String.contains what '.') then
-              Some ("tpdf_domain_" ^ sanitize what, [ ("domain", d) ])
-            else None
-        | None -> None)
-    | None -> None
-  in
   let try_supervisor () =
     (* supervisor.<what>.<actor> with a dot-free <what> *)
     match strip "supervisor." with
@@ -119,7 +105,7 @@ let family_of name =
     try_actor "engine.ticks." "tpdf_engine_ticks"
     <|> fun () ->
     try_backend ()
-    <|> fun () -> try_channel () <|> fun () -> try_domain ()
+    <|> fun () -> try_channel ()
     <|> fun () -> try_supervisor () <|> fun () -> try_serve ()
   in
   match mapped with

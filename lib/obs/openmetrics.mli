@@ -6,7 +6,6 @@
     {ul
     {- [engine.firings.FFT] → [tpdf_engine_firings_total{actor="FFT"}]}
     {- [channel.e3.dropped] → [tpdf_channel_dropped_total{channel="e3"}]}
-    {- [domain.2.firings] → [tpdf_domain_firings{domain="2"}]}
     {- [supervisor.retries.EQ] → [tpdf_supervisor_retries_total{actor="EQ"}]}}
     Anything else becomes its own sanitized [tpdf_]-prefixed family.
     Counters render with the ["_total"] sample suffix, gauges as-is,

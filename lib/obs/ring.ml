@@ -1,10 +1,9 @@
 (* Flight recorder: a fixed-capacity ring over the collector's event
    stream.  The ring sits behind [Obs]'s deliver path (an [add_sink]
    consumer), so it observes events in the exact deterministic order the
-   collector delivers them — including pooled-engine captures, which are
-   spliced in commit order before any sink runs.  Retention is therefore
-   a pure function of the delivered stream: same stream, same retained
-   events, at any domain count. *)
+   collector delivers them — including staged captures, which reach it
+   only when spliced.  Retention is therefore a pure function of the
+   delivered stream: same stream, same retained events. *)
 
 type config = {
   capacity : int;

@@ -2,8 +2,8 @@
 
     A ring keeps the last [capacity] retained events.  It plugs into a
     collector as a sink ({!attach}), so it sees events in the exact
-    order {!Obs} delivers them — for a pooled engine that is the
-    spliced commit order, which is byte-identical to a sequential run.
+    order {!Obs} delivers them — a staged capture reaches it when it is
+    spliced.
 
     {b Invariants.}
     {ul

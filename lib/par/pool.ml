@@ -7,24 +7,7 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable live : bool;
   mutable in_batch : bool;
-  tasks_run : int array; (* per-domain task counts; slot 0 = caller *)
 }
-
-(* Which pool slot the current domain occupies: 0 for the orchestrating
-   (caller) domain, 1..n-1 for workers.  Keyed per domain so telemetry
-   (per-domain firing counters, Perfetto lanes) can attribute work
-   without any shared state or locking: each slot of [tasks_run] is
-   written only by the domain that owns it. *)
-let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let self_index () = Domain.DLS.get slot_key
-
-let count_task t =
-  let i = Domain.DLS.get slot_key in
-  let i = if i < Array.length t.tasks_run then i else 0 in
-  t.tasks_run.(i) <- t.tasks_run.(i) + 1
-
-let tasks_per_domain t = Array.copy t.tasks_run
 
 (* Workers block here between batches.  On shutdown they drain whatever
    is still queued (so a batch in flight always completes) and exit. *)
@@ -53,14 +36,10 @@ let create ~domains =
       queue = Queue.create ();
       live = true;
       in_batch = false;
-      tasks_run = Array.make domains 0;
     }
   in
   t.workers <-
-    List.init (domains - 1) (fun i ->
-        Domain.spawn (fun () ->
-            Domain.DLS.set slot_key (i + 1);
-            worker_loop t));
+    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let domains t = t.n_domains
@@ -86,13 +65,7 @@ let run_inline thunks =
 let run t thunks =
   let n = Array.length thunks in
   if n = 0 then [||]
-  else if n = 1 || t.n_domains = 1 || t.workers = [] then
-    run_inline
-      (Array.map
-         (fun f () ->
-           count_task t;
-           f ())
-         thunks)
+  else if n = 1 || t.n_domains = 1 || t.workers = [] then run_inline thunks
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
@@ -100,7 +73,6 @@ let run t thunks =
     (* Each queued closure owns one task index: it records its result or
        exception, then decrements the batch counter under the lock. *)
     let task i () =
-      count_task t;
       (match thunks.(i) () with
       | v -> results.(i) <- Some v
       | exception e -> errors.(i) <- Some e);

@@ -4,8 +4,9 @@
     this pool owns [domains - 1] worker domains (the caller is the last
     participant) and runs batches of independent tasks on them.  It is
     built directly on [Domain]/[Mutex]/[Condition] — no external
-    dependencies — and designed for the determinism contract of the TPDF
-    engine: results always come back in task-index order, chunk merges
+    dependencies — and designed for deterministic callers (the image and
+    DSP kernels, the serve daemon's [tick] sharding): results always
+    come back in task-index order, chunk merges
     happen in ascending chunk order, and the lowest-indexed exception
     wins, so a program that treats the pool as a black box cannot observe
     how work was interleaved.
@@ -66,17 +67,6 @@ val parallel_for_reduce :
     sequential [fold_left] whenever [init] is an identity for [merge]
     and [merge] is associative (e.g. sums, maxima, list concatenation).
     @raise Invalid_argument when [chunk < 1]. *)
-
-val self_index : unit -> int
-(** The pool slot of the calling domain: 0 on the orchestrating (caller)
-    domain — or on any domain not owned by a pool — and [1 .. domains-1]
-    on workers.  Telemetry uses this to attribute work per domain
-    without contention. *)
-
-val tasks_per_domain : t -> int array
-(** Tasks executed per pool slot (index 0 = the caller) since [create].
-    Each slot is written only by its owning domain; read it from the
-    orchestrating domain between batches. *)
 
 val shutdown : t -> unit
 (** Signal the workers to exit and join them all.  Idempotent.  The pool

@@ -23,21 +23,6 @@
 
 module Csdf = Tpdf_csdf
 
-(* Why the engine declined to engage the compiled backend for a run. *)
-type ineligible =
-  | Clocked_actors  (** clock ticks need the timed event queue *)
-  | Pool_attached  (** staged parallel commits go through the heap *)
-  | Pending_events  (** restored / resumed mid-flight: heap not empty *)
-  | Busy_actors  (** in-flight firings from a previous capped run *)
-
-let pp_ineligible ppf r =
-  Format.pp_print_string ppf
-    (match r with
-    | Clocked_actors -> "clocked actors"
-    | Pool_attached -> "domain pool attached"
-    | Pending_events -> "pending events in the heap"
-    | Busy_actors -> "in-flight firings")
-
 (* The static firing plan of a consistent graph: per-iteration counts are
    the repetition vector, so [iterations] iterations fire each actor
    [iterations × q] times.  This is what the compiled backend's observed
@@ -48,9 +33,10 @@ let firing_counts conc ~iterations actors =
 
 (* Flat FIFO of pending completions in parallel arrays: timestamps and
    sequence numbers stay unboxed, payloads ('u = delivered outputs,
-   'v = the firing record) sit in their own slots, so a push/advance
-   pair allocates nothing.  Head access is by field — returning a tuple
-   would box one per event, which is the cost this replaces. *)
+   'v = the firing record) sit in their own slots, so a push and a pop
+   allocate nothing.  The engine reads and drops the head by field —
+   returning a tuple would box one per event, which is the cost this
+   replaces. *)
 module Fifo = struct
   type ('u, 'v) t = {
     dummy_u : 'u;
@@ -63,8 +49,6 @@ module Fifo = struct
     mutable head : int;
     mutable len : int;
   }
-
-  exception Empty
 
   let create ?(capacity = 64) ~dummy_u ~dummy_v () =
     let capacity = max capacity 1 in
@@ -79,9 +63,6 @@ module Fifo = struct
       head = 0;
       len = 0;
     }
-
-  let length t = t.len
-  let is_empty t = t.len = 0
 
   (* Copy the ring's logical contents (unrolled, oldest first) into a
      fresh backing array.  Top-level so it stays polymorphic across the
@@ -118,20 +99,6 @@ module Fifo = struct
     t.us.(i) <- u;
     t.vs.(i) <- v;
     t.len <- t.len + 1
-
-  let head_time t = if t.len = 0 then raise Empty else t.times.(t.head)
-  let head_seq t = if t.len = 0 then raise Empty else t.seqs.(t.head)
-  let head_ai t = if t.len = 0 then raise Empty else t.ais.(t.head)
-  let head_u t = if t.len = 0 then raise Empty else t.us.(t.head)
-  let head_v t = if t.len = 0 then raise Empty else t.vs.(t.head)
-
-  let advance t =
-    if t.len = 0 then raise Empty;
-    t.us.(t.head) <- t.dummy_u;
-    t.vs.(t.head) <- t.dummy_v;
-    let h = t.head + 1 in
-    t.head <- (if h = Array.length t.times then 0 else h);
-    t.len <- t.len - 1
 
   (* Pending entries oldest-first, for handing back to the event heap on
      deoptimisation or an early stop (until_ms / event budget). *)

@@ -8,16 +8,6 @@
     DESIGN.md §8 for when the backend engages, the runtime uniformity
     guard, and the deoptimisation path back to the interpreter. *)
 
-(** Why the engine declined to engage the compiled backend for a run
-    (it silently falls back to the event interpreter). *)
-type ineligible =
-  | Clocked_actors  (** clock ticks need the timed event queue *)
-  | Pool_attached  (** staged parallel commits go through the heap *)
-  | Pending_events  (** restored / resumed mid-flight: heap not empty *)
-  | Busy_actors  (** in-flight firings from a previous capped run *)
-
-val pp_ineligible : Format.formatter -> ineligible -> unit
-
 val firing_counts :
   Tpdf_csdf.Concrete.t -> iterations:int -> string list -> (string * int) list
 (** The static firing plan: each listed actor fires
@@ -26,8 +16,9 @@ val firing_counts :
 
 (** Flat FIFO of pending completions in parallel arrays (unboxed
     timestamps and sequence numbers, payload slots for the delivered
-    outputs and the firing record).  Push/advance allocate nothing;
-    head access is per-field to avoid boxing a tuple per event. *)
+    outputs and the firing record).  A push allocates nothing; the
+    engine's round executor reads and drops the head through the
+    exposed fields, to avoid boxing a tuple per event. *)
 module Fifo : sig
   type ('u, 'v) t = {
     dummy_u : 'u;
@@ -41,28 +32,13 @@ module Fifo : sig
     mutable len : int;
   }
   (** The representation is exposed so the engine's compiled hot loop can
-      read the head slots without a cross-module call per field; treat it
-      as read-only outside [Compiled] and use {!advance}/{!push} to
-      mutate. Invariant: the [len] live entries start at [head] and wrap
-      around the parallel arrays, which always share one capacity. *)
-
-  exception Empty
+      read and drop the head without a cross-module call per field; a
+      dropped head's payload slots are reset to the dummies.  Invariant:
+      the [len] live entries start at [head] and wrap around the parallel
+      arrays, which always share one capacity. *)
 
   val create : ?capacity:int -> dummy_u:'u -> dummy_v:'v -> unit -> ('u, 'v) t
-  val length : _ t -> int
-  val is_empty : _ t -> bool
   val push : ('u, 'v) t -> time:float -> seq:int -> ai:int -> 'u -> 'v -> unit
-
-  val head_time : _ t -> float
-  (** @raise Empty when empty (same for the other head accessors). *)
-
-  val head_seq : _ t -> int
-  val head_ai : _ t -> int
-  val head_u : ('u, _) t -> 'u
-  val head_v : (_, 'v) t -> 'v
-
-  val advance : _ t -> unit
-  (** Drop the head entry (payload slots are reset to the dummies). *)
 
   val entries : ('u, 'v) t -> (float * int * int * 'u * 'v) list
   (** Pending entries oldest-first: [(time, seq, actor, outputs, record)],

@@ -5,7 +5,6 @@ module Obs = Tpdf_obs.Obs
 module Ev = Tpdf_obs.Event
 module Metrics = Tpdf_obs.Metrics
 module Om = Tpdf_obs.Openmetrics
-module Pool = Tpdf_par.Pool
 module Ringbuf = Tpdf_util.Ringbuf
 module Cfifo = Compiled.Fifo
 
@@ -148,6 +147,9 @@ type program = {
   chan_capacity : int array; (* Buffers.capacity_hint *)
   init_mode : string array; (* default initial control token *)
   has_clock : bool; (* any clocked control actor in the graph *)
+  (* compiled-rounds tables *)
+  static_actor : bool array; (* no control port, head mode All_inputs *)
+  wake : int array array; (* who a completion can wake, ascending *)
 }
 
 (* One runnable instance of a program: the mutable run state, the
@@ -156,7 +158,6 @@ type program = {
 type 'a t = {
   p : program;
   obs : Obs.t;
-  pool : Pool.t option;
   behaviors : 'a Behavior.t array;
   queues : 'a Token.t Ringbuf.t array;
       (* flat circular buffers: pushes/pops move cursors, no per-token
@@ -187,7 +188,6 @@ type 'a t = {
   s_flushed : int array; (* firings already flushed to the registry *)
   s_flushed_ctrl : int array;
   occ_seen : int array; (* per-channel occupancy samples offered *)
-  dom_fire : int array; (* staged firings per pool slot; slot 0 = caller *)
   gc_base : Gc.stat option; (* [Some] iff the collector is enabled *)
   exporter : Om.Exporter.t option; (* TPDF_METRICS_OUT *)
 }
@@ -371,6 +371,47 @@ let compile ~graph ~valuation =
         if Array.length cmodes.(ai) > 0 then cmodes.(ai).(0)
         else compile_mode ai Tpdf.Mode.default)
   in
+  (* Static actors — no control port, head mode reads [All_inputs] —
+     never change mode, never reject an input and never touch the
+     control machinery; the compiled rounds fuse their firings (see
+     [start_static]). *)
+  let static_actor =
+    Array.init n (fun ai ->
+        ctrl_port.(ai) < 0
+        && Array.length cmodes.(ai) > 0
+        &&
+        match cmodes.(ai).(0).cm.Tpdf.Mode.inputs with
+        | Tpdf.Mode.All_inputs -> true
+        | _ -> false)
+  in
+  (* Who a completion of [ai] can wake: [ai] itself plus the consumer of
+     every declared output channel, ascending and deduplicated — the
+     dirty set [complete_event] would have built (a superset when a
+     phase produces nothing on some channel, which is harmless: an actor
+     outside the true dirty set is never fireable, so trying it is a
+     no-op).  Walking this in the compiled rounds replaces the whole
+     mark/sort/clear worklist dance per event. *)
+  let wake =
+    let seen = Array.make n false in
+    Array.init n (fun ai ->
+        seen.(ai) <- true;
+        let acc = ref [ ai ] in
+        Array.iter
+          (fun cm ->
+            Array.iter
+              (List.iter (fun ((ch, _) : int * int) ->
+                   let dst = chan_dst.(ch) in
+                   if not seen.(dst) then begin
+                     seen.(dst) <- true;
+                     acc := dst :: !acc
+                   end))
+              cm.cm_out_rates)
+          cmodes.(ai);
+        let arr = Array.of_list !acc in
+        Array.iter (fun a -> seen.(a) <- false) arr;
+        Array.sort (fun (a : int) b -> compare a b) arr;
+        arr)
+  in
   {
     graph;
     conc;
@@ -399,10 +440,12 @@ let compile ~graph ~valuation =
     init_mode;
     has_clock =
       Array.exists (function Some _ -> true | None -> false) clock_period;
+    static_actor;
+    wake;
   }
 
 let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
-    ?(obs = Obs.disabled) ?pool ~default () =
+    ?(obs = Obs.disabled) ~default () =
   let n = Array.length p.actor_names in
   let nch = Array.length p.chan_exists in
   let explicit = Array.make n None in
@@ -469,7 +512,6 @@ let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
     {
       p;
       obs;
-      pool;
       behaviors;
       queues;
       debt = Array.make nch 0;
@@ -496,8 +538,6 @@ let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
       s_flushed = Array.make n 0;
       s_flushed_ctrl = Array.make n 0;
       occ_seen = Array.make nch 0;
-      dom_fire =
-        Array.make (match pool with Some p -> Pool.domains p | None -> 1) 0;
       gc_base = (if enabled then Some (Gc.quick_stat ()) else None);
       exporter;
     }
@@ -509,13 +549,13 @@ let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
     Array.iter (fun ch -> sample_occupancy t ch) p.chan_order;
   t
 
-let instantiate p ?init_token ?behaviors ?obs ?pool ~default () =
-  instantiate_engine ~emit_initial:true p ?init_token ?behaviors ?obs ?pool
-    ~default ()
+let instantiate p ?init_token ?behaviors ?obs ~default () =
+  instantiate_engine ~emit_initial:true p ?init_token ?behaviors ?obs ~default
+    ()
 
-let create ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default () =
-  instantiate (compile ~graph ~valuation) ?init_token ?behaviors ?obs ?pool
-    ~default ()
+let create ~graph ~valuation ?init_token ?behaviors ?obs ~default () =
+  instantiate (compile ~graph ~valuation) ?init_token ?behaviors ?obs ~default
+    ()
 
 let mark_dirty t ai =
   if not t.dirty.(ai) then begin
@@ -711,10 +751,10 @@ let consume t ai cm active phase =
   in
   build 0
 
-(* Output-contract checks shared by both implementations below: rate
-   errors are reported in expected-list order, then foreign channels and
-   token classes in output order; the first binding wins when a behaviour
-   repeats a channel (the seed's [List.assoc_opt]). *)
+(* Output-contract checks: rate errors are reported in expected-list
+   order, then foreign channels and token classes in output order; the
+   first binding wins when a behaviour repeats a channel (the seed's
+   [List.assoc_opt]). *)
 let check_rate a ch rate produced =
   if produced <> rate then
     raise
@@ -734,9 +774,8 @@ let check_classes t a ch toks =
 (* O(degree): per-channel scratch tables replace the seed's quadratic
    [List.assoc] scans over the output list — the fan-graph cliff, where a
    1e4-way source paid O(width²) list walks per firing.  The scratch slots
-   are always restored (even on the error path, so a caught [Error] leaves
-   the tables clean), but they are engine-global: parallel staged firings
-   use {!validate_outputs_list} instead. *)
+   are always restored, even on the error path, so a caught [Error] leaves
+   the tables clean. *)
 let validate_outputs t ai expected outputs =
   let a = t.p.actor_names.(ai) in
   let nch = Array.length t.p.chan_exists in
@@ -768,35 +807,55 @@ let validate_outputs t ai expected outputs =
   List.iter (fun ((ch, _) : int * int) -> sc_exp.(ch) <- false) expected;
   match err with None -> () | Some e -> raise (Error e)
 
-(* Allocation-free but quadratic in the actor's degree; used only by
-   pool-staged firings, which run concurrently and must not share the
-   engine's scratch tables. *)
-let validate_outputs_list t ai expected outputs =
-  let a = t.p.actor_names.(ai) in
-  List.iter
-    (fun (ch, rate) ->
-      let produced =
-        match List.assoc_opt ch outputs with Some l -> List.length l | None -> 0
-      in
-      check_rate a ch rate produced)
-    expected;
-  List.iter
-    (fun (ch, toks) ->
-      if not (List.mem_assoc ch expected) then
-        raise (Error (Foreign_channel { actor = a; channel = ch }));
-      check_classes t a ch toks)
-    outputs
+(* The compiled rounds of one run (see the round executor in
+   [run_outcome]): pending completions in two flat FIFOs — the round
+   being delivered ([cur], all at one timestamp) and the round it
+   enables ([nxt], one uniform duration later) — the event heap's seq
+   counter they continue, and the uniformity guard: the run's firing
+   duration, learnt from its first firing, and whether a later firing
+   broke it.  Raw durations are compared, never [finish_ms -.
+   start_ms]. *)
+type 'a rounds = {
+  mutable cur : ((int * 'a Token.t list) list, firing_record) Cfifo.t;
+  mutable nxt : ((int * 'a Token.t list) list, firing_record) Cfifo.t;
+  mutable seq : int;
+  mutable round_ms : float;
+  mutable deopt : bool;
+}
 
-(* A firing is split in two.  The {e stage} — consume inputs, run the
-   behaviour's [work], validate the outputs — touches only the actor's
-   own channels (every channel has exactly one consumer and outputs are
-   delivered later, at [Complete]), so the stages of all firings that
-   start at the same drain are independent and may run on a domain pool.
-   The {e commit} — [duration_ms], the firing record, the event-heap
-   push — runs on the orchestrating domain, in ascending actor id, which
-   keeps event sequence numbers, traces, supervisor bookkeeping and obs
-   streams bit-identical to a sequential run. *)
-let fire_stage ?(par = false) t ai cm active =
+(* The commit half of a firing, shared by every start path — the
+   interpreter ([rounds = None]), the compiled rounds and their fused
+   static path: ask the behaviour for the duration, reject a negative
+   one, check it against the rounds' guard, mark the actor started and
+   return the firing record.  The caller queues the completion at
+   [record.finish_ms].  Inlined, so that sharing it costs the compiled
+   hot loop no call. *)
+let[@inline] start_record t rounds ai (ctx : _ Behavior.ctx) =
+  let d = t.behaviors.(ai).Behavior.duration_ms ctx in
+  if d < 0.0 then
+    raise
+      (Error (Negative_duration { actor = ctx.Behavior.actor; duration_ms = d }));
+  (match rounds with
+  | None -> ()
+  | Some r ->
+      if r.round_ms < 0.0 then r.round_ms <- d
+      else if d <> r.round_ms then r.deopt <- true);
+  t.count.(ai) <- ctx.Behavior.index + 1;
+  t.busy.(ai) <- true;
+  {
+    actor = ctx.Behavior.actor;
+    index = ctx.Behavior.index;
+    phase = ctx.Behavior.phase;
+    mode = ctx.Behavior.mode;
+    start_ms = t.now;
+    finish_ms = t.now +. d;
+  }
+
+(* Start a firing: consume its inputs, run the behaviour's [work],
+   validate the outputs, commit, and queue the completion — on the event
+   heap, or in the next compiled round.  Outputs are delivered at
+   completion, not here, so starting a firing never wakes an actor. *)
+let fire t rounds ai cm active =
   let index = t.count.(ai) in
   let phase = index mod t.p.phases.(ai) in
   let inputs = consume t ai cm active phase in
@@ -813,93 +872,14 @@ let fire_stage ?(par = false) t ai cm active =
     }
   in
   let outputs = t.behaviors.(ai).Behavior.work ctx in
-  if par then validate_outputs_list t ai rates outputs
-  else validate_outputs t ai rates outputs;
-  (ctx, outputs)
-
-let fire_commit t ai (ctx, outputs) =
-  let b = t.behaviors.(ai) in
-  let d = b.Behavior.duration_ms ctx in
-  if d < 0.0 then
-    raise
-      (Error (Negative_duration { actor = ctx.Behavior.actor; duration_ms = d }));
-  let record =
-    {
-      actor = ctx.Behavior.actor;
-      index = ctx.Behavior.index;
-      phase = ctx.Behavior.phase;
-      mode = ctx.Behavior.mode;
-      start_ms = t.now;
-      finish_ms = t.now +. d;
-    }
-  in
-  t.count.(ai) <- ctx.Behavior.index + 1;
-  t.busy.(ai) <- true;
-  Event_heap.add t.events (t.now +. d) (Complete (ai, outputs, record))
-
-let start_firing t ai cm active =
-  (match t.omode with
-  | Obs_off -> ()
-  | _ ->
-      (* inline staging always happens on the orchestrating domain *)
-      t.dom_fire.(0) <- t.dom_fire.(0) + 1);
-  fire_commit t ai (fire_stage t ai cm active)
-
-(* Run the stages of [jobs] (same-instant, independent by construction)
-   on the pool, then commit in job order (= ascending actor id).  Each
-   task captures its obs/metrics emissions into a private buffer;
-   splicing the buffers in job order reconstructs the sequential stream.
-   A job may carry an exception instead of work — either pre-raised by
-   [fireable] or raised inside the stage: it is re-raised at its commit
-   slot, after the buffers of all earlier jobs (and its own partial one)
-   have been spliced, exactly where the sequential run would have
-   raised.  Later stages have already run by then; their token
-   consumption is unobservable because the raise aborts the run. *)
-let fire_parallel t pool jobs =
-  let span_every =
-    match t.omode with Obs_sampled s -> s.Obs.span_every | _ -> 0
-  in
-  let obs_on = match t.omode with Obs_off -> false | _ -> true in
-  let tasks =
-    Array.map
-      (fun (ai, job) () ->
-        let cap = Obs.capture_begin t.obs in
-        let di = if obs_on then Pool.self_index () else 0 in
-        if obs_on && di < Array.length t.dom_fire then
-          t.dom_fire.(di) <- t.dom_fire.(di) + 1;
-        (* In sampled mode, 1-in-K staged firings get a wall-clock span
-           stamped with the executing domain — the raw material for
-           Perfetto's per-domain lanes (see Chrome.domain_of).  Wall
-           events never enter the deterministic retained stream (the
-           ring excludes them by default). *)
-        let t0w = if span_every > 0 then Obs.now_wall_ms () else 0.0 in
-        let res =
-          match job with
-          | `Fire (cm, active) -> (
-              try Result.Ok (fire_stage ~par:true t ai cm active)
-              with e -> Result.Error e)
-          | `Raise e -> Result.Error e
-        in
-        if span_every > 0 && t.count.(ai) mod span_every = 0 then
-          Obs.span t.obs ~clock:Ev.Wall ~cat:"par" ~track:"stage"
-            ~name:t.p.actor_names.(ai) ~ts_ms:t0w
-            ~dur_ms:(Obs.now_wall_ms () -. t0w)
-            ~args:[ ("domain", Ev.Int di); ("index", Ev.Int t.count.(ai)) ]
-            ();
-        Obs.capture_end t.obs cap;
-        (res, cap))
-      jobs
-  in
-  let results = Pool.run pool tasks in
-  Array.iteri
-    (fun k (res, cap) ->
-      Obs.splice t.obs cap;
-      match res with
-      | Result.Error e -> raise e
-      | Result.Ok staged ->
-          let ai, _ = jobs.(k) in
-          fire_commit t ai staged)
-    results
+  validate_outputs t ai rates outputs;
+  let record = start_record t rounds ai ctx in
+  match rounds with
+  | None ->
+      Event_heap.add t.events record.finish_ms (Complete (ai, outputs, record))
+  | Some r ->
+      Cfifo.push r.nxt ~time:record.finish_ms ~seq:r.seq ~ai outputs record;
+      r.seq <- r.seq + 1
 
 (* GC / allocation gauges: deltas of [Gc.quick_stat] against the
    engine's creation baseline, refreshed at exporter ticks and at run
@@ -925,7 +905,7 @@ let update_gc_gauges t =
    reconciles the registry with them (idempotent: counters advance by
    the delta since the last flush).  Metrics calls route through any
    active capture, so a transactionally staged run stays abortable. *)
-let flush_sampled t pool =
+let flush_sampled t =
   match t.omode with
   | Obs_off | Obs_full -> ()
   | Obs_sampled _ ->
@@ -944,24 +924,7 @@ let flush_sampled t pool =
           end;
           if t.s_busy.(ai) > 0.0 then
             Metrics.set_gauge m ("engine.busy_ms." ^ a) t.s_busy.(ai))
-        t.p.actor_names;
-      Array.iteri
-        (fun d n ->
-          if n > 0 then
-            Metrics.set_gauge m
-              (Printf.sprintf "domain.%d.firings" d)
-              (float_of_int n))
-        t.dom_fire;
-      (match pool with
-      | Some p ->
-          Array.iteri
-            (fun d n ->
-              if n > 0 then
-                Metrics.set_gauge m
-                  (Printf.sprintf "domain.%d.tasks" d)
-                  (float_of_int n))
-            (Pool.tasks_per_domain p)
-      | None -> ())
+        t.p.actor_names
 
 (* Process one completion: deliver outputs, wake consumers, record the
    trace and obs span.  Shared verbatim by the event loop and the
@@ -1134,9 +1097,8 @@ let dummy_record =
   { actor = ""; index = 0; phase = 0; mode = ""; start_ms = 0.0; finish_ms = 0.0 }
 
 let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
-    ?(max_events = 1_000_000) ?pool t =
+    ?(max_events = 1_000_000) t =
   if iterations < 1 then invalid_arg "Engine.run: iterations must be >= 1";
-  let pool = match pool with Some _ as p -> p | None -> t.pool in
   (match targets with
   | None -> ()
   | Some l ->
@@ -1192,60 +1154,132 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
     && t.p.clock_period.(ai) = None
     && t.count.(ai) < limit.(ai)
   in
-  let try_start ai =
+  let try_start rounds ai =
     if eligible ai then
       match fireable t ai with
-      | Some (cm, active) -> start_firing t ai cm active
+      | Some (cm, active) -> fire t rounds ai cm active
       | None -> ()
   in
+  (* A static actor's firing (see [program.static_actor]) in the
+     compiled rounds, fused into one allocation-light
+     check-consume-commit.  Used only under [Obs_off], where no occupancy
+     sampling interleaves.  Everything it does is a step-for-step replay
+     of [fireable]/[fire] for that shape: same pops, same error order,
+     same records.  [rounds] is [Some r], passed along as it is so the
+     commit allocates no option. *)
+  let start_static rounds r ai =
+    (* [eligible] without the clock test: compiled never engages on a
+       graph with clocked actors. *)
+    if (not t.busy.(ai)) && t.count.(ai) < limit.(ai) then begin
+      let index = t.count.(ai) in
+      let ph = t.p.phases.(ai) in
+      let phase = if ph = 1 then 0 else index mod ph in
+      let ins = t.p.data_ins.(ai) in
+      let nin = Array.length ins in
+      let ok = ref true in
+      for i = 0 to nin - 1 do
+        let ch = ins.(i) in
+        if Ringbuf.length t.queues.(ch) < t.p.cons.(ch).(phase) then
+          ok := false
+      done;
+      if !ok then begin
+        let cm = t.p.cmodes.(ai).(0) in
+        let inputs = ref [] in
+        (* per-channel pops in FIFO order; channels are disjoint, so
+           walking them in reverse builds the ascending assoc list
+           [consume] would. *)
+        for i = nin - 1 downto 0 do
+          let ch = ins.(i) in
+          let rate = t.p.cons.(ch).(phase) in
+          if rate > 0 then begin
+            let q = t.queues.(ch) in
+            let toks =
+              if rate = 1 && q.Ringbuf.len > 0 then begin
+                (* Ringbuf.pop, hand-inlined (the fireable check above
+                   guarantees non-empty; the guard keeps the raise
+                   path identical regardless) *)
+                let h = q.Ringbuf.head in
+                let v = q.Ringbuf.arr.(h) in
+                q.Ringbuf.arr.(h) <- q.Ringbuf.dummy;
+                let h1 = h + 1 in
+                q.Ringbuf.head <-
+                  (if h1 = Array.length q.Ringbuf.arr then 0 else h1);
+                q.Ringbuf.len <- q.Ringbuf.len - 1;
+                [ v ]
+              end
+              else if rate = 1 then [ Ringbuf.pop q ]
+              else List.init rate (fun _ -> Ringbuf.pop q)
+            in
+            inputs := (ch, toks) :: !inputs
+          end
+        done;
+        let rates = cm.cm_out_rates.(phase) in
+        let ctx =
+          {
+            Behavior.actor = t.p.actor_names.(ai);
+            mode = cm.cm.Tpdf.Mode.name;
+            phase;
+            index;
+            now_ms = t.now;
+            inputs = !inputs;
+            out_rates = rates;
+          }
+        in
+        let outputs = t.behaviors.(ai).Behavior.work ctx in
+        let valid =
+          (* single-output rate-1 firings (every chain/fan/grid kernel)
+             resolve in one match; anything else takes the general
+             lockstep walk *)
+          match (rates, outputs) with
+          | [ (ch, 1) ], [ (ch', [ tok ]) ] ->
+              ch' = ch && Token.is_ctrl tok = t.p.is_ctrl_chan.(ch)
+          | _ -> validate_fast t rates outputs
+        in
+        if not valid then validate_outputs t ai rates outputs;
+        let record = start_record t rounds ai ctx in
+        let fin = record.finish_ms in
+        (* Cfifo.push, hand-inlined minus the growth branch (ocamlopt
+           without flambda will not inline the cross-module call) *)
+        let fq = r.nxt in
+        let cap = Array.length fq.Cfifo.times in
+        if fq.Cfifo.len = cap then
+          Cfifo.push fq ~time:fin ~seq:r.seq ~ai outputs record
+        else begin
+          let i = fq.Cfifo.head + fq.Cfifo.len in
+          let i = if i >= cap then i - cap else i in
+          fq.Cfifo.times.(i) <- fin;
+          fq.Cfifo.seqs.(i) <- r.seq;
+          fq.Cfifo.ais.(i) <- ai;
+          fq.Cfifo.us.(i) <- outputs;
+          fq.Cfifo.vs.(i) <- record;
+          fq.Cfifo.len <- fq.Cfifo.len + 1
+        end;
+        r.seq <- r.seq + 1
+      end
+    end
+  in
+  let obs_off = t.omode = Obs_off in
+  let static = t.p.static_actor in
   (* Drain the dirty worklist in ascending actor id — the same stable
      order as the seed's global rescan, so scheduling decisions and the
-     resulting traces are identical.  With a pool, the fireable set is
-     decided first (firings that start together cannot enable or disable
-     one another: outputs are delivered at [Complete], and consumption
-     touches only the firing actor's own input channels), the stages run
-     in parallel, and the commits replay in the same ascending order. *)
-  (* Sorting and flag-clearing are shared: the worklist prefix is stable
-     while it is walked, because nothing inside [try_start] marks actors
+     resulting traces are identical.  The walked prefix is stable: the
+     flags clear before the starts, and starting a firing marks no actor
      dirty (outputs are delivered at [Complete], not at start). *)
-  let take_worklist () =
+  let drain rounds =
     let len = t.dirty_len in
     if len > 0 then begin
       sort_worklist t.dirty_buf len;
       t.dirty_len <- 0;
       for k = 0 to len - 1 do
         t.dirty.(t.dirty_buf.(k)) <- false
+      done;
+      for k = 0 to len - 1 do
+        let ai = t.dirty_buf.(k) in
+        match rounds with
+        | Some r when obs_off && static.(ai) -> start_static rounds r ai
+        | _ -> try_start rounds ai
       done
-    end;
-    len
-  in
-  let drain =
-    match pool with
-    | None ->
-        fun () ->
-          let len = take_worklist () in
-          for k = 0 to len - 1 do
-            try_start t.dirty_buf.(k)
-          done
-    | Some pool -> (
-        fun () ->
-          let len = take_worklist () in
-          if len > 0 then begin
-            let jobs = ref [] in
-            for k = len - 1 downto 0 do
-              let ai = t.dirty_buf.(k) in
-              if eligible ai then
-                match fireable t ai with
-                | Some (cm, active) -> jobs := (ai, `Fire (cm, active)) :: !jobs
-                | None -> ()
-                | exception e -> jobs := (ai, `Raise e) :: !jobs
-            done;
-            match !jobs with
-            | [] -> ()
-            | [ (ai, `Fire (cm, active)) ] -> start_firing t ai cm active
-            | [ (_, `Raise e) ] -> raise e
-            | jobs -> fire_parallel t pool (Array.of_list jobs)
-          end)
+    end
   in
   let steps = ref 0 in
   let stop = ref false in
@@ -1255,261 +1289,55 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
     | Some e when !steps land 1023 = 0 ->
         (* periodic snapshot export: refresh aggregates, then atomically
            rewrite TPDF_METRICS_OUT if the interval elapsed *)
-        flush_sampled t pool;
+        flush_sampled t;
         update_gc_gauges t;
         Om.Exporter.tick e
     | _ -> ()
   in
   (* The compiled static-schedule backend (see Compiled and DESIGN.md §8)
-     engages only from a clean start it can fully model: no clocks, no
-     pool, nothing in flight.  Everything else — including a run it
+     engages only from a clean start it can fully model: no clocks and
+     nothing in flight.  Everything else — including a run it
      deoptimised out of — goes through the event heap. *)
   let compiled =
-    backend = `Compiled && pool = None && (not t.p.has_clock)
+    backend = `Compiled && (not t.p.has_clock)
     && Event_heap.is_empty t.events
     && Array.for_all not t.busy
   in
   t.ran_compiled <- compiled;
+  for ai = 0 to n - 1 do
+    mark_dirty t ai
+  done;
   if compiled then begin
-    (* Round executor: pending completions live in two flat FIFOs — the
-       round being delivered ([cur], all at one timestamp) and the round
-       it enables ([nxt], one uniform duration later).  Pop order equals
-       the heap's (time, seq) order as long as every firing takes the
-       same duration; the first firing that does not trips [deopt] and
-       the pending entries (timestamps and seq numbers intact) reload
-       into the heap, where the ordinary loop below resumes. *)
-    let cur =
-      ref (Compiled.Fifo.create ~dummy_u:[] ~dummy_v:dummy_record ())
+    (* Round executor: pop order equals the heap's (time, seq) order as
+       long as every firing takes the same duration; the first firing
+       that does not trips the guard and the pending entries (timestamps
+       and seq numbers intact) reload into the heap, where the ordinary
+       loop below resumes. *)
+    let r =
+      {
+        cur = Cfifo.create ~dummy_u:[] ~dummy_v:dummy_record ();
+        nxt = Cfifo.create ~dummy_u:[] ~dummy_v:dummy_record ();
+        seq = Event_heap.next_seq t.events;
+        round_ms = neg_infinity;
+        deopt = false;
+      }
     in
-    let nxt =
-      ref (Compiled.Fifo.create ~dummy_u:[] ~dummy_v:dummy_record ())
-    in
-    let cseq = ref (Event_heap.next_seq t.events) in
-    let dur = ref neg_infinity (* negative = not yet discovered *) in
-    let deopt = ref false in
-    let commit ai (ctx, outputs) =
-      let b = t.behaviors.(ai) in
-      let d = b.Behavior.duration_ms ctx in
-      if d < 0.0 then
-        raise
-          (Error
-             (Negative_duration { actor = ctx.Behavior.actor; duration_ms = d }));
-      let record =
-        {
-          actor = ctx.Behavior.actor;
-          index = ctx.Behavior.index;
-          phase = ctx.Behavior.phase;
-          mode = ctx.Behavior.mode;
-          start_ms = t.now;
-          finish_ms = t.now +. d;
-        }
-      in
-      t.count.(ai) <- ctx.Behavior.index + 1;
-      t.busy.(ai) <- true;
-      if !dur < 0.0 then dur := d else if d <> !dur then deopt := true;
-      Compiled.Fifo.push !nxt ~time:(t.now +. d) ~seq:!cseq ~ai outputs record;
-      incr cseq
-    in
-    (* Static actors — no control port, head mode reads [All_inputs] —
-       never change mode, never reject an input and never touch the
-       control machinery, so (under [Obs_off], where no occupancy
-       sampling interleaves) their firings can be fused into one
-       allocation-light check-consume-commit.  Everything it does is a
-       step-for-step replay of [fireable]/[fire_stage]/[commit] for that
-       shape: same pops, same error order, same records. *)
-    let static =
-      let fast = t.omode = Obs_off in
-      Array.init n (fun ai ->
-          fast
-          && t.p.ctrl_port.(ai) < 0
-          && Array.length t.p.cmodes.(ai) > 0
-          &&
-          match t.p.cmodes.(ai).(0).cm.Tpdf.Mode.inputs with
-          | Tpdf.Mode.All_inputs -> true
-          | _ -> false)
-    in
-    let start_static ai =
-      (* [eligible] without the clock test: compiled never engages on a
-         graph with clocked actors. *)
-      if (not t.busy.(ai)) && t.count.(ai) < limit.(ai) then begin
-        let index = t.count.(ai) in
-        let ph = t.p.phases.(ai) in
-        let phase = if ph = 1 then 0 else index mod ph in
-        let ins = t.p.data_ins.(ai) in
-        let nin = Array.length ins in
-        let ok = ref true in
-        for i = 0 to nin - 1 do
-          let ch = ins.(i) in
-          if Ringbuf.length t.queues.(ch) < t.p.cons.(ch).(phase) then
-            ok := false
-        done;
-        if !ok then begin
-          let cm = t.p.cmodes.(ai).(0) in
-          let inputs = ref [] in
-          (* per-channel pops in FIFO order; channels are disjoint, so
-             walking them in reverse builds the ascending assoc list
-             [consume] would. *)
-          for i = nin - 1 downto 0 do
-            let ch = ins.(i) in
-            let rate = t.p.cons.(ch).(phase) in
-            if rate > 0 then begin
-              let q = t.queues.(ch) in
-              let toks =
-                if rate = 1 && q.Ringbuf.len > 0 then begin
-                  (* Ringbuf.pop, hand-inlined (the fireable check above
-                     guarantees non-empty; the guard keeps the raise
-                     path identical regardless) *)
-                  let h = q.Ringbuf.head in
-                  let v = q.Ringbuf.arr.(h) in
-                  q.Ringbuf.arr.(h) <- q.Ringbuf.dummy;
-                  let h1 = h + 1 in
-                  q.Ringbuf.head <-
-                    (if h1 = Array.length q.Ringbuf.arr then 0 else h1);
-                  q.Ringbuf.len <- q.Ringbuf.len - 1;
-                  [ v ]
-                end
-                else if rate = 1 then [ Ringbuf.pop q ]
-                else List.init rate (fun _ -> Ringbuf.pop q)
-              in
-              inputs := (ch, toks) :: !inputs
-            end
-          done;
-          let rates = cm.cm_out_rates.(phase) in
-          let ctx =
-            {
-              Behavior.actor = t.p.actor_names.(ai);
-              mode = cm.cm.Tpdf.Mode.name;
-              phase;
-              index;
-              now_ms = t.now;
-              inputs = !inputs;
-              out_rates = rates;
-            }
-          in
-          let outputs = t.behaviors.(ai).Behavior.work ctx in
-          let valid =
-            (* single-output rate-1 firings (every chain/fan/grid kernel)
-               resolve in one match; anything else takes the general
-               lockstep walk *)
-            match (rates, outputs) with
-            | [ (ch, 1) ], [ (ch', [ tok ]) ] ->
-                ch' = ch && Token.is_ctrl tok = t.p.is_ctrl_chan.(ch)
-            | _ -> validate_fast t rates outputs
-          in
-          if not valid then validate_outputs t ai rates outputs;
-          let d = t.behaviors.(ai).Behavior.duration_ms ctx in
-          if d < 0.0 then
-            raise
-              (Error
-                 (Negative_duration
-                    { actor = ctx.Behavior.actor; duration_ms = d }));
-          let fin = t.now +. d in
-          let record =
-            {
-              actor = ctx.Behavior.actor;
-              index;
-              phase;
-              mode = ctx.Behavior.mode;
-              start_ms = t.now;
-              finish_ms = fin;
-            }
-          in
-          t.count.(ai) <- index + 1;
-          t.busy.(ai) <- true;
-          if !dur < 0.0 then dur := d else if d <> !dur then deopt := true;
-          (* Cfifo.push, hand-inlined minus the growth branch (ocamlopt
-             without flambda will not inline the cross-module call) *)
-          let fq = !nxt in
-          let cap = Array.length fq.Cfifo.times in
-          if fq.Cfifo.len = cap then
-            Cfifo.push fq ~time:fin ~seq:!cseq ~ai outputs record
-          else begin
-            let i = fq.Cfifo.head + fq.Cfifo.len in
-            let i = if i >= cap then i - cap else i in
-            fq.Cfifo.times.(i) <- fin;
-            fq.Cfifo.seqs.(i) <- !cseq;
-            fq.Cfifo.ais.(i) <- ai;
-            fq.Cfifo.us.(i) <- outputs;
-            fq.Cfifo.vs.(i) <- record;
-            fq.Cfifo.len <- fq.Cfifo.len + 1
-          end;
-          incr cseq
-        end
-      end
-    in
-    let try_start_gen ai =
-      if eligible ai then
-        match fireable t ai with
-        | Some (cm, active) ->
-            (match t.omode with
-            | Obs_off -> ()
-            | _ -> t.dom_fire.(0) <- t.dom_fire.(0) + 1);
-            commit ai (fire_stage t ai cm active)
-        | None -> ()
-    in
-    (* Who a completion of [ai] can wake: [ai] itself plus the consumer
-       of every declared output channel, ascending and deduplicated —
-       the dirty set [complete_event] would have built, precomputed (a
-       superset when a phase produces nothing on some channel, which is
-       harmless: an actor outside the true dirty set is never fireable,
-       so trying it is a no-op).  Walking this in the steady loop
-       replaces the whole mark/sort/clear worklist dance per event. *)
-    let wake =
-      let seen = Array.make n false in
-      Array.init n (fun ai ->
-          seen.(ai) <- true;
-          let acc = ref [ ai ] in
-          Array.iter
-            (fun cm ->
-              Array.iter
-                (List.iter (fun ((ch, _) : int * int) ->
-                     let dst = t.p.chan_dst.(ch) in
-                     if not seen.(dst) then begin
-                       seen.(dst) <- true;
-                       acc := dst :: !acc
-                     end))
-                cm.cm_out_rates)
-            t.p.cmodes.(ai);
-          let arr = Array.of_list !acc in
-          Array.iter (fun a -> seen.(a) <- false) arr;
-          Array.sort (fun (a : int) b -> compare a b) arr;
-          arr)
-    in
-    (* [take_worklist] fused in: flags clear before the starts, and
-       nothing in either start path marks actors dirty, so the walked
-       prefix is stable — same argument as the event loop's drain *)
-    let drain_c () =
-      let len = t.dirty_len in
-      if len > 0 then begin
-        sort_worklist t.dirty_buf len;
-        t.dirty_len <- 0;
-        for k = 0 to len - 1 do
-          t.dirty.(t.dirty_buf.(k)) <- false
-        done;
-        for k = 0 to len - 1 do
-          let ai = t.dirty_buf.(k) in
-          if static.(ai) then start_static ai else try_start_gen ai
-        done
-      end
-    in
-    for ai = 0 to n - 1 do
-      mark_dirty t ai
-    done;
-    drain_c ();
-    let obs_off = t.omode = Obs_off in
+    let rounds = Some r in
+    drain rounds;
+    let wake = t.p.wake in
     let exporter_on = match t.exporter with Some _ -> true | None -> false in
     let cap = match until_ms with Some c -> c | None -> infinity in
     let finished = ref false in
     while
-      (not !finished) && (not !deopt)
-      && not ((!cur).Cfifo.len = 0 && (!nxt).Cfifo.len = 0)
+      (not !finished) && (not r.deopt)
+      && not (r.cur.Cfifo.len = 0 && r.nxt.Cfifo.len = 0)
     do
-      if (!cur).Cfifo.len = 0 then begin
-        let tmp = !cur in
-        cur := !nxt;
-        nxt := tmp
+      if r.cur.Cfifo.len = 0 then begin
+        let tmp = r.cur in
+        r.cur <- r.nxt;
+        r.nxt <- tmp
       end;
-      let q = !cur in
+      let q = r.cur in
       let h = q.Cfifo.head in
       let tm = q.Cfifo.times.(h) in
       if tm > cap then begin
@@ -1532,7 +1360,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
           let outputs = q.Cfifo.us.(h) in
           let record = q.Cfifo.vs.(h) in
           t.now <- tm;
-          (* Cfifo.advance, hand-inlined *)
+          (* drop the head, resetting its payload slots to the dummies *)
           q.Cfifo.us.(h) <- q.Cfifo.dummy_u;
           q.Cfifo.vs.(h) <- q.Cfifo.dummy_v;
           let h1 = h + 1 in
@@ -1544,12 +1372,13 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
             let wl = wake.(ai) in
             for k = 0 to Array.length wl - 1 do
               let aj = wl.(k) in
-              if static.(aj) then start_static aj else try_start_gen aj
+              if static.(aj) then start_static rounds r aj
+              else try_start rounds aj
             done
           end
           else begin
             complete_event t ~limit ai outputs record;
-            drain_c ()
+            drain rounds
           end;
           if exporter_on then exporter_tick ()
         end
@@ -1564,16 +1393,11 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
       List.map
         (fun (time, seq, ai, outputs, record) ->
           (time, seq, Complete (ai, outputs, record)))
-        (Compiled.Fifo.entries !cur @ Compiled.Fifo.entries !nxt)
+        (Cfifo.entries r.cur @ Cfifo.entries r.nxt)
     in
-    Event_heap.load t.events ~next_seq:!cseq pending
+    Event_heap.load t.events ~next_seq:r.seq pending
   end
-  else begin
-    for ai = 0 to n - 1 do
-      mark_dirty t ai
-    done;
-    drain ()
-  end;
+  else drain None;
   while (not !stop) && not (Event_heap.is_empty t.events) do
     (* Peek before popping: an event past [until_ms] stays in the queue,
        so the state at the cap is faithful and [steps] only counts
@@ -1597,7 +1421,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
             | Complete (ai, outputs, record) ->
                 complete_event t ~limit ai outputs record
             | Tick ai -> tick_event t ai);
-            drain ();
+            drain None;
             exporter_tick ()
     end
   done;
@@ -1613,7 +1437,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
     let c = if t.ran_compiled then 1.0 else 0.0 in
     Metrics.set_gauge m "engine.backend.compiled" c;
     Metrics.set_gauge m "engine.backend.event" (1.0 -. c);
-    flush_sampled t pool;
+    flush_sampled t;
     update_gc_gauges t;
     match t.exporter with Some e -> Om.Exporter.flush e | None -> ()
   end;
@@ -1666,8 +1490,8 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
   end
   else Completed stats
 
-let run ?backend ?iterations ?targets ?until_ms ?max_events ?pool t =
-  match run_outcome ?backend ?iterations ?targets ?until_ms ?max_events ?pool t with
+let run ?backend ?iterations ?targets ?until_ms ?max_events t =
+  match run_outcome ?backend ?iterations ?targets ?until_ms ?max_events t with
   | Completed stats -> stats
   | Stalled (s, _) ->
       failwith
@@ -1772,12 +1596,10 @@ let snapshot ~encode t =
     trace = List.rev_map firing t.trace;
   }
 
-let restore ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default
-    ~decode (s : Snapshot.t) =
+let restore p ?init_token ?behaviors ?obs ~default ~decode (s : Snapshot.t) =
   let t =
-    instantiate_engine ~emit_initial:false
-      (compile ~graph ~valuation)
-      ?init_token ?behaviors ?obs ?pool ~default ()
+    instantiate_engine ~emit_initial:false p ?init_token ?behaviors ?obs
+      ~default ()
   in
   let fail fmt =
     Printf.ksprintf (fun m -> invalid_arg ("Engine.restore: " ^ m)) fmt
@@ -1801,12 +1623,18 @@ let restore ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default
       finish_ms = f.f_finish_ms;
     }
   in
+  (* The counts match, so rejecting repeats also rejects omissions: a
+     snapshot naming [a] twice would otherwise leave its missing sibling
+     in fresh-instance state. *)
   if List.length s.actors <> Array.length t.p.actor_names then
     fail "snapshot has %d actor(s), graph has %d" (List.length s.actors)
       (Array.length t.p.actor_names);
+  let seen = Array.make (Array.length t.p.actor_names) false in
   List.iter
     (fun (a : Snapshot.actor_state) ->
       let ai = aid a.a_name in
+      if seen.(ai) then fail "snapshot lists actor %s twice" a.a_name;
+      seen.(ai) <- true;
       t.count.(ai) <- a.a_count;
       t.completed.(ai) <- a.a_completed;
       t.busy.(ai) <- a.a_busy;
@@ -1821,11 +1649,14 @@ let restore ~graph ~valuation ?init_token ?behaviors ?obs ?pool ~default
   if List.length s.channels <> Array.length t.p.chan_order then
     fail "snapshot has %d channel(s), graph has %d" (List.length s.channels)
       (Array.length t.p.chan_order);
+  let seen = Array.make (Array.length t.p.chan_exists) false in
   List.iter
     (fun (c : Snapshot.channel_state) ->
       let ch = c.c_id in
       if ch < 0 || ch >= Array.length t.p.chan_exists || not t.p.chan_exists.(ch)
       then fail "snapshot names unknown channel e%d" ch;
+      if seen.(ch) then fail "snapshot lists channel e%d twice" ch;
+      seen.(ch) <- true;
       let q = t.queues.(ch) in
       Ringbuf.clear q;
       List.iter (fun tk -> Ringbuf.push q (tok tk)) c.c_tokens;

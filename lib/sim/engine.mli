@@ -107,7 +107,6 @@ val instantiate :
   ?init_token:(int -> int -> 'a Token.t) ->
   ?behaviors:(string * 'a Behavior.t) list ->
   ?obs:Tpdf_obs.Obs.t ->
-  ?pool:Tpdf_par.Pool.t ->
   default:'a ->
   unit ->
   'a t
@@ -122,7 +121,6 @@ val create :
   ?init_token:(int -> int -> 'a Token.t) ->
   ?behaviors:(string * 'a Behavior.t) list ->
   ?obs:Tpdf_obs.Obs.t ->
-  ?pool:Tpdf_par.Pool.t ->
   default:'a ->
   unit ->
   'a t
@@ -141,16 +139,9 @@ val create :
     collector every instrumentation point is a single branch and allocates
     nothing, so simulation results and timings are unchanged.
 
-    [pool] turns on deterministic parallel execution: the behaviours of
-    all firings that start at the same drain — independent by
-    construction, since outputs are delivered at completion and each
-    channel has a single consumer — run on the pool's domains, and their
-    results are committed in ascending actor id.  Outcomes, stats,
-    traces, metrics and obs event streams are bit-identical to a
-    sequential run (enforced by [test/test_engine_equiv.ml]); behaviours
-    must only be thread-safe {e against each other} (shared mutable state
-    between different actors' behaviours needs locking — see
-    [Tpdf_fault.Supervisor]).
+    An instance runs on the domain that calls it; separate instances
+    may run on separate domains at once, as [Tpdf_serve.Daemon]'s
+    [tick] sharding does with one program per tenant.
     @raise Invalid_argument on unknown behaviour actors, or if the graph
     fails {!Tpdf_core.Graph.validate}. *)
 
@@ -160,7 +151,6 @@ val run_outcome :
   ?targets:(string * int) list ->
   ?until_ms:float ->
   ?max_events:int ->
-  ?pool:Tpdf_par.Pool.t ->
   'a t ->
   outcome
 (** Execute [iterations] (default 1) graph iterations: every non-clock
@@ -178,7 +168,7 @@ val run_outcome :
     byte-equivalent to [`Event] — outcomes, stats, traces, obs streams
     and snapshot images are identical (enforced by
     [test/test_engine_equiv.ml]).  It engages when the run starts clean
-    (no clocked actors, no pool, no pending events or in-flight firings)
+    (no clocked actors, no pending events or in-flight firings)
     and firing durations are uniform; any other situation — including
     the first non-uniform duration mid-run — falls back to the event
     interpreter transparently, continuing the same run.  See DESIGN.md
@@ -188,8 +178,6 @@ val run_outcome :
     full diagnosis (blocked actors with their completed/required counts,
     per-channel occupancy at stall time); exhausting the event budget
     returns {!Budget_exceeded}.  Partial statistics are carried in both.
-    [pool] overrides the pool given at {!create} for this run (the engine
-    stays usable sequentially and in parallel on the same instance).
     @raise Invalid_argument on a [targets] entry naming an unknown actor or
     carrying a negative count, or if [iterations < 1].
     @raise Error if a behaviour violates its contract (wrong token counts,
@@ -201,7 +189,6 @@ val run :
   ?targets:(string * int) list ->
   ?until_ms:float ->
   ?max_events:int ->
-  ?pool:Tpdf_par.Pool.t ->
   'a t ->
   stats
 (** Compatibility wrapper around {!run_outcome}: returns the stats of a
@@ -224,8 +211,8 @@ val pending_events : 'a t -> int
     The engine's complete deterministic run state as plain data (see
     {!Snapshot}): restore-then-continue is byte-identical to an
     uninterrupted run — outcomes, stats, traces and [tpdf_obs] streams —
-    at any iteration boundary or mid-iteration point, sequentially or on
-    a pool.  Enforced by [test/test_ckpt.ml]. *)
+    at any iteration boundary or mid-iteration point.  Enforced by
+    [test/test_ckpt.ml]. *)
 
 val at_boundary : 'a t -> bool
 (** The iteration-boundary invariant (PAPER §III): no firing in flight,
@@ -238,20 +225,20 @@ val snapshot : encode:('a -> string) -> 'a t -> Snapshot.t
     it must be the inverse of the [decode] later given to {!restore}. *)
 
 val restore :
-  graph:Tpdf_core.Graph.t ->
-  valuation:Tpdf_param.Valuation.t ->
+  program ->
   ?init_token:(int -> int -> 'a Token.t) ->
   ?behaviors:(string * 'a Behavior.t) list ->
   ?obs:Tpdf_obs.Obs.t ->
-  ?pool:Tpdf_par.Pool.t ->
   default:'a ->
   decode:(string -> 'a) ->
   Snapshot.t ->
   'a t
-(** Rebuild a runnable engine in the snapshotted state.  [graph],
-    [valuation] and [behaviors] must match the original {!create} call
-    (the snapshot carries state, not code); the t=0 occupancy samples
-    are {e not} re-emitted, so the [obs] stream of the restored engine
+(** Rebuild a runnable instance of [program] in the snapshotted state,
+    like {!instantiate} does at t=0.  The program (graph and valuation)
+    and [behaviors] must match those of the snapshotted instance (the
+    snapshot carries state, not code); the t=0 occupancy samples are
+    {e not} re-emitted, so the [obs] stream of the restored engine
     continues exactly where the original's left off.
-    @raise Invalid_argument when the snapshot does not fit the graph
-    (unknown actors/channels/modes, wrong counts). *)
+    @raise Invalid_argument when the snapshot does not fit the program
+    (unknown actors, channels or modes, wrong counts, or an actor or
+    channel listed twice). *)

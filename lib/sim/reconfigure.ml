@@ -126,7 +126,7 @@ let record_abort obs ~offset ~index ~what reason =
   { abort_index = index; abort_what = what; abort_reason = reason }
 
 let run_sequence ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
-    ?targets ?pool ?(txn = false) ~default valuations =
+    ?targets ?(txn = false) ~default valuations =
   if valuations = [] then
     invalid_arg "Reconfigure.run_sequence: empty valuation sequence";
   let offset = ref 0.0 in
@@ -139,7 +139,7 @@ let run_sequence ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
       (Format.asprintf "%a" Tpdf_param.Valuation.pp valuation);
     let eng =
       Engine.create ~graph ~valuation ~behaviors
-        ~obs:(Obs.shift obs !offset) ?pool ~default ()
+        ~obs:(Obs.shift obs !offset) ~default ()
     in
     let targets =
       match targets with None -> None | Some f -> Some (f valuation)
@@ -167,7 +167,7 @@ let run_sequence ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
                       what;
                     let eng =
                       Engine.create ~graph ~valuation ~behaviors
-                        ~obs:(Obs.shift obs !offset) ?pool ~default ()
+                        ~obs:(Obs.shift obs !offset) ~default ()
                     in
                     let targets =
                       match targets with
@@ -332,7 +332,7 @@ let scenario_control_behavior graph scenario =
       Behavior.produce_at_rates ctx (fun ch _ -> Token.Ctrl (mode_for ch)))
 
 let run_scenarios ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
-    ?(iterations = 1) ?pool ?(txn = false) ~valuation ~default scenarios =
+    ?(iterations = 1) ?(txn = false) ~valuation ~default scenarios =
   if scenarios = [] then
     invalid_arg "Reconfigure.run_scenarios: empty scenario sequence";
   if not txn then List.iter (validate_scenario graph) scenarios;
@@ -354,7 +354,7 @@ let run_scenarios ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
     let eng =
       Engine.create ~graph ~valuation
         ~behaviors:(behaviors @ ctrl_behaviors)
-        ~obs:(Obs.shift obs !offset) ?pool ~default ()
+        ~obs:(Obs.shift obs !offset) ~default ()
     in
     let stats = Engine.run ?backend ~iterations ~targets eng in
     offset := !offset +. stats.Engine.end_ms;
@@ -393,7 +393,7 @@ let run_scenarios ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
                     let eng =
                       Engine.create ~graph ~valuation
                         ~behaviors:(behaviors @ ctrl_behaviors)
-                        ~obs:(Obs.shift obs !offset) ?pool ~default ()
+                        ~obs:(Obs.shift obs !offset) ~default ()
                     in
                     (Engine.run_outcome ?backend ~iterations ~targets eng, eng))
           in

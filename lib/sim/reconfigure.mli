@@ -32,7 +32,6 @@ val run_sequence :
   ?obs:Tpdf_obs.Obs.t ->
   ?behaviors:(string * 'a Behavior.t) list ->
   ?targets:(Tpdf_param.Valuation.t -> (string * int) list) ->
-  ?pool:Tpdf_par.Pool.t ->
   ?txn:bool ->
   default:'a ->
   Tpdf_param.Valuation.t list ->
@@ -46,9 +45,7 @@ val run_sequence :
     [obs] records the whole sequence on one virtual timeline: a
     ["reconfig"] instant (with the valuation) marks each iteration
     boundary, and each iteration's engine events are shifted by the
-    accumulated end time of the previous ones.  [pool] is handed to every
-    engine created (deterministic parallel mode, byte-identical results —
-    see {!Engine.create}).
+    accumulated end time of the previous ones.
 
     [txn] (default [false]) makes each reconfiguration a {e transaction}
     with validate-then-commit semantics.  A ["txn.begin"] instant opens
@@ -110,7 +107,6 @@ val run_scenarios :
   ?obs:Tpdf_obs.Obs.t ->
   ?behaviors:(string * 'a Behavior.t) list ->
   ?iterations:int ->
-  ?pool:Tpdf_par.Pool.t ->
   ?txn:bool ->
   valuation:Tpdf_param.Valuation.t ->
   default:'a ->

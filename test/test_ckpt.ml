@@ -6,13 +6,15 @@
    - restore-then-continue is byte-identical to an uninterrupted run —
      outcome, stats, trace and tpdf_obs streams — for every shipped
      graph under every mode scenario, at every iteration boundary and at
-     a mid-iteration point, sequentially and on 2/4-domain pools;
+     a mid-iteration point, also with the resumed runs sharded across
+     2/4-domain pools;
+   - a snapshot that lists an actor or a channel twice is rejected;
    - Reconfigure's validate-then-commit transactions roll an invalid
      valuation or scenario back without a trace and continue under the
      previous one;
    - the supervisor's restart-from-checkpoint rolls a failed iteration
      back without double-counting metrics or leaking the rolled-back
-     firings' events, deterministically at 1/2/4 domains. *)
+     firings' events, also when runs are sharded across domains. *)
 
 open Tpdf_core
 open Tpdf_param
@@ -253,7 +255,7 @@ let scenario_behaviors g scenario =
     (fun a -> if Graph.is_control g a then Some (a, ctrl) else None)
     (Graph.actors g)
 
-let run_full ?pool g v scenario =
+let run_full g v scenario =
   let targets =
     List.map (fun a -> (a, 0)) (Sim.Reconfigure.starved_actors g scenario)
   in
@@ -261,7 +263,7 @@ let run_full ?pool g v scenario =
   let eng =
     Engine.create ~graph:g ~valuation:v
       ~behaviors:(scenario_behaviors g scenario)
-      ~obs ?pool ~default:0 ()
+      ~obs ~default:0 ()
   in
   let o = Engine.run_outcome ~iterations ~targets ~max_events:50_000 eng in
   (o, Obs.events obs)
@@ -274,7 +276,7 @@ let run_full ?pool g v scenario =
    the correct reference for boundary restores, while the single-call
    run remains the reference for mid-iteration [until_ms] stops, which
    leave the schedule untouched. *)
-let run_chunked ?pool g v scenario ~k =
+let run_chunked g v scenario ~k =
   let targets =
     List.map (fun a -> (a, 0)) (Sim.Reconfigure.starved_actors g scenario)
   in
@@ -282,7 +284,7 @@ let run_chunked ?pool g v scenario ~k =
   let eng =
     Engine.create ~graph:g ~valuation:v
       ~behaviors:(scenario_behaviors g scenario)
-      ~obs ?pool ~default:0 ()
+      ~obs ~default:0 ()
   in
   match Engine.run_outcome ~iterations:k ~targets ~max_events:50_000 eng with
   | Engine.Completed _ ->
@@ -293,7 +295,7 @@ let run_chunked ?pool g v scenario ~k =
 (* Run to [stop], persist through the full checkpoint codec (string
    round-trip included), restore into a fresh engine built from the
    *parsed* graph source, and finish the run. *)
-let run_resumed ?pool g v scenario ~stop =
+let run_resumed g v scenario ~stop =
   let targets =
     List.map (fun a -> (a, 0)) (Sim.Reconfigure.starved_actors g scenario)
   in
@@ -301,7 +303,7 @@ let run_resumed ?pool g v scenario ~stop =
   let eng =
     Engine.create ~graph:g ~valuation:v
       ~behaviors:(scenario_behaviors g scenario)
-      ~obs:obs1 ?pool ~default:0 ()
+      ~obs:obs1 ~default:0 ()
   in
   let reached =
     match stop with
@@ -342,16 +344,17 @@ let run_resumed ?pool g v scenario ~stop =
     let v' = Valuation.of_list file'.Ckpt.valuation in
     let obs2 = Obs.create () in
     let eng' =
-      Engine.restore ~graph:g' ~valuation:v'
+      Engine.restore
+        (Engine.compile ~graph:g' ~valuation:v')
         ~behaviors:(scenario_behaviors g' scenario)
-        ~obs:obs2 ?pool ~default:0 ~decode:int_of_string
+        ~obs:obs2 ~default:0 ~decode:int_of_string
         (Option.get file'.Ckpt.snapshot)
     in
     let o = Engine.run_outcome ~iterations ~targets ~max_events:50_000 eng' in
     Some (o, Obs.events obs1 @ Obs.events obs2)
   end
 
-let check_restore_file ?pool file () =
+let check_restore_file file () =
   let path = Filename.concat graphs_dir file in
   let g =
     match Serial.load path with
@@ -362,7 +365,7 @@ let check_restore_file ?pool file () =
   let checked = ref 0 in
   List.iteri
     (fun si scenario ->
-      let full_o, full_ev = run_full ?pool g v scenario in
+      let full_o, full_ev = run_full g v scenario in
       let stops =
         (match full_o with
         | Engine.Completed stats when stats.Engine.end_ms > 0.0 ->
@@ -375,9 +378,9 @@ let check_restore_file ?pool file () =
           let reference =
             match stop with
             | `At_ms _ -> Some (full_o, full_ev)
-            | `Boundary k -> run_chunked ?pool g v scenario ~k
+            | `Boundary k -> run_chunked g v scenario ~k
           in
-          match (reference, run_resumed ?pool g v scenario ~stop) with
+          match (reference, run_resumed g v scenario ~stop) with
           | None, _ | _, None -> () (* scenario never reaches that point *)
           | Some (ref_o, ref_ev), Some (o, ev) ->
               incr checked;
@@ -402,46 +405,60 @@ let restore_tests =
     (fun f -> Alcotest.test_case f `Quick (check_restore_file f))
     graph_files
 
-(* The pooled engine must restore to the same byte-identical stream;
-   compare pooled restored runs against the sequential full run. *)
+module Pool = Tpdf_par.Pool
+
+let with_pool ~domains f =
+  let pool = Pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* Restores may run on any domain, several at once.  The resumed runs
+   of every scenario and stop point run as concurrent tasks on a
+   [domains]-domain pool, each on a graph of its own, and each must
+   match its sequential reference byte for byte. *)
 let check_restore_pooled domains file () =
-  let pool = Tpdf_par.Pool.create ~domains in
-  Fun.protect
-    ~finally:(fun () -> Tpdf_par.Pool.shutdown pool)
-    (fun () ->
-      let path = Filename.concat graphs_dir file in
-      let g =
-        match Serial.load path with
-        | Ok g -> g
-        | Error m -> Alcotest.fail (file ^ ": " ^ m)
+  let path = Filename.concat graphs_dir file in
+  let load () =
+    match Serial.load path with
+    | Ok g -> g
+    | Error m -> Alcotest.fail (file ^ ": " ^ m)
+  in
+  let g = load () in
+  let v = valuation_for g in
+  let cases =
+    List.concat
+      (List.mapi
+         (fun si scenario ->
+           List.map
+             (fun stop -> (si, scenario, stop))
+             [ `Boundary 1; `At_ms 1.5 ])
+         (Sim.Reconfigure.mode_scenarios g))
+  in
+  let resumed =
+    with_pool ~domains @@ fun pool ->
+    Pool.run pool
+      (Array.of_list
+         (List.map
+            (fun (_, scenario, stop) () ->
+              run_resumed (load ()) v scenario ~stop)
+            cases))
+  in
+  List.iteri
+    (fun k (si, scenario, stop) ->
+      let reference =
+        match stop with
+        | `At_ms _ -> Some (run_full g v scenario)
+        | `Boundary k -> run_chunked g v scenario ~k
       in
-      let v = valuation_for g in
-      List.iteri
-        (fun si scenario ->
-          let full = run_full g v scenario in
-          List.iter
-            (fun stop ->
-              (* reference is always the *sequential* run with the same
-                 driving pattern: pooled restores must match it byte
-                 for byte *)
-              let reference =
-                match stop with
-                | `At_ms _ -> Some full
-                | `Boundary k -> run_chunked g v scenario ~k
-              in
-              match (reference, run_resumed ~pool g v scenario ~stop) with
-              | None, _ | _, None -> ()
-              | Some (ref_o, ref_ev), Some (o, ev) ->
-                  let label =
-                    Printf.sprintf "%s scenario %d (%d domains)" file si
-                      domains
-                  in
-                  if o <> ref_o then
-                    Alcotest.fail (label ^ ": pooled outcome diverged");
-                  if ev <> ref_ev then
-                    Alcotest.fail (label ^ ": pooled obs stream diverged"))
-            [ `Boundary 1; `At_ms 1.5 ])
-        (Sim.Reconfigure.mode_scenarios g))
+      match (reference, resumed.(k)) with
+      | None, _ | _, None -> ()
+      | Some (ref_o, ref_ev), Some (o, ev) ->
+          let label =
+            Printf.sprintf "%s scenario %d (%d domains)" file si domains
+          in
+          if o <> ref_o then Alcotest.fail (label ^ ": pooled outcome diverged");
+          if ev <> ref_ev then
+            Alcotest.fail (label ^ ": pooled obs stream diverged"))
+    cases
 
 let pooled_tests =
   List.concat_map
@@ -532,8 +549,9 @@ let test_obs_survives_restore () =
   in
   let obs2 = Obs.create () in
   let eng2 =
-    Engine.restore ~graph:g'
-      ~valuation:(Valuation.of_list file'.Ckpt.valuation)
+    Engine.restore
+      (Engine.compile ~graph:g'
+         ~valuation:(Valuation.of_list file'.Ckpt.valuation))
       ~obs:obs2 ~default:0 ~decode:int_of_string
       (Option.get file'.Ckpt.snapshot)
   in
@@ -549,6 +567,32 @@ let test_obs_survives_restore () =
     "histogram totals add up exactly"
     (histogram_totals [ obs_full ])
     (histogram_totals [ obs1; obs2 ])
+
+(* Snapshots arrive from outside the program — checkpoint files,
+   migration peers — and the FNV checksum vouches only for their bytes.
+   An image that lists an actor or a channel twice (and, its counts
+   being right, omits another) must be refused: restoring it would leave
+   the omitted one in fresh-instance state. *)
+let test_restore_rejects_duplicates () =
+  let snap = Option.get (mid_run_ckpt ()).Ckpt.snapshot in
+  let program =
+    Engine.compile ~graph:(fig2_graph ())
+      ~valuation:(Valuation.of_list [ ("p", 3) ])
+  in
+  let restore s =
+    Engine.restore program ~default:0 ~decode:int_of_string s
+  in
+  ignore (restore snap);
+  let repeat_first = function a :: _ :: rest -> a :: a :: rest | l -> l in
+  let refused what s =
+    match restore s with
+    | _ -> Alcotest.fail (what ^ " listed twice was restored")
+    | exception Invalid_argument _ -> ()
+  in
+  refused "an actor"
+    { snap with Sim.Snapshot.actors = repeat_first snap.Sim.Snapshot.actors };
+  refused "a channel"
+    { snap with Sim.Snapshot.channels = repeat_first snap.Sim.Snapshot.channels }
 
 (* ------------------------------------------------------------------ *)
 (* Transactional reconfiguration: validate-then-commit                 *)
@@ -662,7 +706,7 @@ let test_txn_scenarios_abort () =
    scenario.  One restart must roll the attempt back, escalate to the
    degraded pins (QAM starved) and complete — without the rolled-back
    QAM firings in the stream and without double-counted metrics. *)
-let restart_run ?pool () =
+let restart_run () =
   let g, _ = Apps.Ofdm_app.tpdf_graph () in
   let v = Apps.Ofdm_app.valuation ~beta:2 ~n:8 ~l:1 in
   let behaviors = [ ("QAM", Behavior.make (fun _ -> [])) ] in
@@ -675,7 +719,7 @@ let restart_run ?pool () =
     Fault.Supervisor.run ~graph:g ~plan:Fault.Plan.none ~policy ~obs
       ~behaviors
       ~scenario:(Fault.Chaos.default_scenario g)
-      ~iterations:3 ?pool ~encode:string_of_int ~decode:int_of_string
+      ~iterations:3 ~encode:string_of_int ~decode:int_of_string
       ~valuation:v ~default:0 ()
   in
   (s, obs)
@@ -726,23 +770,30 @@ let test_restart_budget_exhausted () =
   | None -> Alcotest.fail "run without a restart budget must not recover");
   Alcotest.(check int) "no restarts" 0 s.Fault.Supervisor.restarts
 
+(* Four restarting runs at once, one per task on a 1/2/4-domain pool:
+   each rollback must stay inside its own run. *)
 let test_restart_deterministic_across_domains () =
   let seq_s, seq_obs = restart_run () in
   List.iter
     (fun domains ->
-      let pool = Tpdf_par.Pool.create ~domains in
-      Fun.protect
-        ~finally:(fun () -> Tpdf_par.Pool.shutdown pool)
-        (fun () ->
-          let s, obs = restart_run ~pool () in
+      let runs =
+        with_pool ~domains @@ fun pool ->
+        Pool.run pool
+          (Array.make 4 (fun () ->
+               let s, obs = restart_run () in
+               (s, Obs.events obs)))
+      in
+      Array.iter
+        (fun (s, events) ->
           Alcotest.(check bool)
             (Printf.sprintf "summary identical @%d domains" domains)
             true (s = seq_s);
           Alcotest.(check bool)
             (Printf.sprintf "obs stream identical @%d domains" domains)
             true
-            (Obs.events obs = Obs.events seq_obs)))
-    [ 2; 4 ]
+            (events = Obs.events seq_obs))
+        runs)
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor kill / resume equivalence                                *)
@@ -769,17 +820,17 @@ let chaos_config g =
   in
   (behaviors, policy)
 
-let chaos_full ?pool g v =
+let chaos_full g v =
   let behaviors, policy = chaos_config g in
   let obs = Obs.create () in
   let s =
     Fault.Chaos.run ~graph:g ~seed:42
       ~specs:[ Fault.Fault.spec ~target:"QAM" ~prob:0.8 (Fault.Fault.Overrun 8.0) ]
-      ~policy ~iterations:6 ~obs ?pool ~behaviors ~valuation:v ()
+      ~policy ~iterations:6 ~obs ~behaviors ~valuation:v ()
   in
   (s, Obs.events obs)
 
-let chaos_killed_resumed ?pool g v ~kill_at_ms =
+let chaos_killed_resumed g v ~kill_at_ms =
   let behaviors, policy = chaos_config g in
   let specs =
     [ Fault.Fault.spec ~target:"QAM" ~prob:0.8 (Fault.Fault.Overrun 8.0) ]
@@ -787,7 +838,7 @@ let chaos_killed_resumed ?pool g v ~kill_at_ms =
   let obs1 = Obs.create () in
   let s1 =
     Fault.Chaos.run ~graph:g ~seed:42 ~specs ~policy ~iterations:6 ~obs:obs1
-      ?pool ~behaviors ~valuation:v ~kill_at_ms ()
+      ~behaviors ~valuation:v ~kill_at_ms ()
   in
   match s1.Fault.Supervisor.killed with
   | None -> None
@@ -819,7 +870,7 @@ let chaos_killed_resumed ?pool g v ~kill_at_ms =
       let obs2 = Obs.create () in
       let s2 =
         Fault.Chaos.run ~graph:g ~seed:42 ~specs ~policy ~iterations:6
-          ~obs:obs2 ?pool ~behaviors ~valuation:v ~resume:ck' ()
+          ~obs:obs2 ~behaviors ~valuation:v ~resume:ck' ()
       in
       Some (s2, Obs.events obs1 @ Obs.events obs2)
 
@@ -868,6 +919,8 @@ let test_chaos_kill_resume () =
     [ 0.15; 0.33; 0.5; 0.65; 0.8 ];
   Alcotest.(check bool) "killed at least twice" true (!kills >= 2)
 
+(* Kill/resume cycles at three instants run at once, one per task on a
+   2/4-domain pool, each on a graph of its own. *)
 let test_chaos_kill_resume_pooled () =
   let g, _ = Apps.Ofdm_app.tpdf_graph () in
   let v = Apps.Ofdm_app.valuation ~beta:2 ~n:8 ~l:1 in
@@ -875,11 +928,18 @@ let test_chaos_kill_resume_pooled () =
   let total = full_s.Fault.Supervisor.total_end_ms in
   List.iter
     (fun domains ->
-      let pool = Tpdf_par.Pool.create ~domains in
-      Fun.protect
-        ~finally:(fun () -> Tpdf_par.Pool.shutdown pool)
-        (fun () ->
-          match chaos_killed_resumed ~pool g v ~kill_at_ms:(0.5 *. total) with
+      let runs =
+        with_pool ~domains @@ fun pool ->
+        Pool.run pool
+          (Array.of_list
+             (List.map
+                (fun frac () ->
+                  let g, _ = Apps.Ofdm_app.tpdf_graph () in
+                  chaos_killed_resumed g v ~kill_at_ms:(frac *. total))
+                [ 0.33; 0.5; 0.65 ]))
+      in
+      Array.iter
+        (function
           | None -> Alcotest.fail "pooled kill did not land"
           | Some (s, ev) ->
               Alcotest.(check bool)
@@ -887,7 +947,8 @@ let test_chaos_kill_resume_pooled () =
                 true (summary_matches ~full:full_s s);
               Alcotest.(check bool)
                 (Printf.sprintf "pooled obs stream @%d domains" domains)
-                true (ev = full_ev)))
+                true (ev = full_ev))
+        runs)
     [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -910,6 +971,11 @@ let () =
         [
           Alcotest.test_case "metric totals + streams survive restore" `Quick
             test_obs_survives_restore;
+        ] );
+      ( "restore-checks",
+        [
+          Alcotest.test_case "duplicate actor or channel refused" `Quick
+            test_restore_rejects_duplicates;
         ] );
       ("restore-equiv-pooled", pooled_tests);
       ( "txn",

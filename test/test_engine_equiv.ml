@@ -325,67 +325,61 @@ let test_chaos_golden () =
   Alcotest.(check int) "obs events" 248 (Obs.event_count obs)
 
 (* ------------------------------------------------------------------ *)
-(* Sequential vs pooled execution                                      *)
+(* Engines sharded across domains                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Tpdf_par.Pool
 
-(* The pool contract is byte-identical observable behaviour: same
-   outcome, stats, traces and obs event streams as the sequential
-   engine, at any domain count.  Checked for every shipped graph under
-   every mode scenario, and for the full chaos stack. *)
-let par_domain_counts =
-  let base = [ 1; 2; 4 ] in
-  match Sys.getenv_opt "TPDF_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 && not (List.mem d base) -> base @ [ d ]
-      | _ -> base)
-  | None -> base
-
-let with_pool ~domains f =
+(* Separate engine instances may run on different domains at once: the
+   serve daemon's [tick] sharding rests on this, and so does the
+   supervisor's lock-free bookkeeping.  Each case runs a batch of
+   independent jobs as concurrent tasks on a [domains]-domain pool.
+   Every job builds its own graph, as every served tenant does, and its
+   result must equal that of the same job run on the calling domain. *)
+let check_sharded ~domains ~label jobs =
+  let seq = List.map (fun job -> job ()) jobs in
   let pool = Pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+  let par =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Array.to_list (Pool.run pool (Array.of_list jobs)))
+  in
+  List.iteri
+    (fun i (s, p) ->
+      if s <> p then
+        Alcotest.fail
+          (Printf.sprintf "%s: job %d diverged on %d domains" label i domains))
+    (List.combine seq par)
 
+(* Every mode scenario of a shipped graph, twice over, so that even a
+   one-scenario graph fills a batch. *)
 let check_file_par domains file () =
   let path = Filename.concat graphs_dir file in
-  match Serial.load path with
-  | Error m -> Alcotest.fail (file ^ ": " ^ m)
-  | Ok g ->
-      let v = valuation_for g in
-      let scenarios = Sim.Reconfigure.mode_scenarios g in
-      with_pool ~domains @@ fun pool ->
-      List.iteri
-        (fun i scenario ->
-          let label =
-            Printf.sprintf "%s scenario %d (domains=%d)" file i domains
-          in
-          let run ?pool () =
-            run_one_engine
-              ~create:(fun ~graph ~valuation ~behaviors ~obs ~default () ->
-                Engine.create ~graph ~valuation ~behaviors ~obs ?pool ~default
-                  ())
-              ~run_outcome:(fun ~iterations ~targets ~max_events e ->
-                Engine.run_outcome ~iterations ~targets ~max_events e)
-              ~canon:canon_new g v scenario
-          in
-          let o_seq, ev_seq = run () in
-          let o_par, ev_par = run ~pool () in
-          if o_par <> o_seq then
-            Alcotest.fail
-              (Printf.sprintf "%s: outcome diverged\n  par: %s\n  seq: %s"
-                 label (describe o_par) (describe o_seq));
-          Alcotest.(check int)
-            (label ^ " obs event count")
-            (List.length ev_seq) (List.length ev_par);
-          if ev_par <> ev_seq then
-            Alcotest.fail (label ^ ": tpdf_obs event streams diverged"))
-        scenarios
+  let load () =
+    match Serial.load path with
+    | Ok g -> g
+    | Error m -> Alcotest.fail (file ^ ": " ^ m)
+  in
+  let g = load () in
+  let v = valuation_for g in
+  let job scenario () =
+    run_one_engine
+      ~create:(fun ~graph ~valuation ~behaviors ~obs ~default () ->
+        Engine.create ~graph ~valuation ~behaviors ~obs ~default ())
+      ~run_outcome:(fun ~iterations ~targets ~max_events e ->
+        Engine.run_outcome ~iterations ~targets ~max_events e)
+      ~canon:canon_new (load ()) v scenario
+  in
+  check_sharded ~domains ~label:file
+    (List.concat_map
+       (fun scenario -> [ job scenario; job scenario ])
+       (Sim.Reconfigure.mode_scenarios g))
 
-(* Chaos through the supervisor: retries, skips, deadline watchdog and
-   mode fallback all run above the pooled engine; the summary (including
-   per-iteration stats) and the obs stream must not move by a byte. *)
-let chaos_summary ?pool () =
+(* Chaos through the supervisor: retries, skips, the deadline watchdog
+   and mode fallback, with the wrappers' state unlocked.  Four seeds per
+   batch; each summary (including per-iteration stats) and obs stream
+   must not move by a byte. *)
+let chaos_summary ~seed () =
   let g, _ = Tpdf_apps.Ofdm_app.tpdf_graph () in
   let beta = 2 and n = 8 in
   let v = Tpdf_apps.Ofdm_app.valuation ~beta ~n ~l:1 in
@@ -415,24 +409,14 @@ let chaos_summary ?pool () =
   in
   let obs = Obs.create () in
   let s =
-    Fault.Chaos.run ~graph:g ~seed:42 ~specs ~policy ~iterations:6 ~obs
-      ~behaviors ?pool ~valuation:v ()
+    Fault.Chaos.run ~graph:g ~seed ~specs ~policy ~iterations:6 ~obs
+      ~behaviors ~valuation:v ()
   in
   (s, Obs.events obs)
 
 let test_chaos_par domains () =
-  with_pool ~domains @@ fun pool ->
-  let s_seq, ev_seq = chaos_summary () in
-  let s_par, ev_par = chaos_summary ~pool () in
-  Alcotest.(check bool)
-    (Printf.sprintf "chaos summary identical (domains=%d)" domains)
-    true (s_par = s_seq);
-  Alcotest.(check int)
-    (Printf.sprintf "chaos obs event count (domains=%d)" domains)
-    (List.length ev_seq) (List.length ev_par);
-  if ev_par <> ev_seq then
-    Alcotest.fail
-      (Printf.sprintf "chaos obs streams diverged (domains=%d)" domains)
+  check_sharded ~domains ~label:"chaos"
+    (List.map (fun seed -> chaos_summary ~seed) [ 42; 43; 44; 45 ])
 
 let par_equiv_tests =
   List.concat_map
@@ -448,7 +432,7 @@ let par_equiv_tests =
             (Printf.sprintf "chaos domains=%d" domains)
             `Quick (test_chaos_par domains);
         ])
-    par_domain_counts
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* until_ms: the event at the cap stays queued                         *)
@@ -631,8 +615,9 @@ let test_compiled_restore_roundtrip () =
     | o -> Alcotest.fail ("expected a capped stall: " ^ describe (canon_new o)));
     let snap = Engine.snapshot ~encode:string_of_int e in
     let e' =
-      Engine.restore ~graph:g ~valuation:Valuation.empty ~default:0
-        ~decode:int_of_string snap
+      Engine.restore
+        (Engine.compile ~graph:g ~valuation:Valuation.empty)
+        ~default:0 ~decode:int_of_string snap
     in
     canon_new (Engine.run_outcome ~backend ~iterations:3 e')
   in

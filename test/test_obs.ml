@@ -446,33 +446,40 @@ let test_ring_per_kind_sampling () =
   Alcotest.(check int) "wall event still counted as seen" 17 (Ring.seen ring)
 
 (* The retained stream is a pure function of the delivered event stream,
-   so a pooled sampled run must retain byte-for-byte the same window as
-   the sequential one. *)
+   so a sampled run retains byte-for-byte the same window on whichever
+   domain it runs: four runs at once on a 1/2/4-domain pool must each
+   match the run on the calling domain. *)
 let test_ring_deterministic_across_domains () =
-  let run domains =
-    let pool =
-      if domains = 1 then None else Some (Tpdf_par.Pool.create ~domains)
+  let run () =
+    let { Examples.graph = g; _ } = Examples.fig2 () in
+    let v = Valuation.of_list [ ("p", 2) ] in
+    let obs =
+      Obs.create ~keep_events:false
+        ~sampling:{ Obs.span_every = 2; occupancy_every = 1 }
+        ()
     in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Tpdf_par.Pool.shutdown pool)
-      (fun () ->
-        let { Examples.graph = g; _ } = Examples.fig2 () in
-        let v = Valuation.of_list [ ("p", 2) ] in
-        let obs =
-          Obs.create ~keep_events:false
-            ~sampling:{ Obs.span_every = 2; occupancy_every = 1 }
-            ()
-        in
-        let ring = Ring.attach obs in
-        let eng = Engine.create ~graph:g ~valuation:v ~obs ?pool ~default:0 () in
-        ignore (Engine.run ~iterations:6 eng);
-        Report.csv_of_events (Ring.events ring))
+    let ring = Ring.attach obs in
+    let eng = Engine.create ~graph:g ~valuation:v ~obs ~default:0 () in
+    ignore (Engine.run ~iterations:6 eng);
+    Report.csv_of_events (Ring.events ring)
   in
-  let seq = run 1 in
+  let seq = run () in
   Alcotest.(check bool) "retained stream non-trivial" true
     (String.length seq > 200);
-  Alcotest.(check string) "byte-identical at 2 domains" seq (run 2);
-  Alcotest.(check string) "byte-identical at 4 domains" seq (run 4)
+  List.iter
+    (fun domains ->
+      let pool = Tpdf_par.Pool.create ~domains in
+      let runs =
+        Fun.protect
+          ~finally:(fun () -> Tpdf_par.Pool.shutdown pool)
+          (fun () -> Tpdf_par.Pool.run pool (Array.make 4 run))
+      in
+      Array.iter
+        (Alcotest.(check string)
+           (Printf.sprintf "byte-identical at %d domains" domains)
+           seq)
+        runs)
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                              *)
@@ -489,7 +496,6 @@ let test_openmetrics_family_mapping () =
   check "engine.busy_ms.EQ" "tpdf_engine_busy_ms" [ ("actor", "EQ") ];
   check "channel.e3.dropped" "tpdf_channel_dropped" [ ("channel", "e3") ];
   check "channel.e3.occupancy" "tpdf_channel_occupancy" [ ("channel", "e3") ];
-  check "domain.2.firings" "tpdf_domain_firings" [ ("domain", "2") ];
   check "supervisor.retries.EQ" "tpdf_supervisor_retries" [ ("actor", "EQ") ];
   (* unknown names become their own sanitized family, no labels *)
   check "engine.steps" "tpdf_engine_steps" [];
@@ -499,7 +505,7 @@ let test_openmetrics_render () =
   let m = Metrics.create () in
   Metrics.incr ~by:3 m "engine.firings.FFT";
   Metrics.incr m "engine.firings.EQ";
-  Metrics.set_gauge m "domain.0.firings" 12.0;
+  Metrics.set_gauge m "engine.end_ms" 12.0;
   Metrics.observe m "engine.firing_ms.FFT" 1.0;
   Metrics.observe m "engine.firing_ms.FFT" 2.0;
   let lines =
@@ -511,7 +517,7 @@ let test_openmetrics_render () =
   Alcotest.(check bool) "second subject, same family" true
     (has "tpdf_engine_firings_total{actor=\"EQ\"} 1");
   Alcotest.(check bool) "gauge sample" true
-    (has "tpdf_domain_firings{domain=\"0\"} 12");
+    (has "tpdf_engine_end_ms 12");
   Alcotest.(check bool) "summary median" true
     (has "tpdf_engine_firing_ms{actor=\"FFT\",quantile=\"0.5\"} 1.5");
   Alcotest.(check bool) "summary count" true
@@ -644,61 +650,6 @@ let test_critpath_fig2 () =
         (r.Critpath.cp_ms <= stats.Engine.end_ms +. 1e-9);
       Alcotest.(check bool) "cp_ms positive" true (r.Critpath.cp_ms > 0.0)
 
-(* ------------------------------------------------------------------ *)
-(* Chrome per-domain processes                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_chrome_domain_processes () =
-  let obs = Obs.create () in
-  Obs.span ~clock:Ev.Wall obs ~cat:"par" ~track:"stage" ~name:"fire"
-    ~args:[ ("domain", Ev.Int 0) ]
-    ~ts_ms:0.0 ~dur_ms:1.0 ();
-  Obs.span ~clock:Ev.Wall obs ~cat:"par" ~track:"stage" ~name:"fire"
-    ~args:[ ("domain", Ev.Int 2) ]
-    ~ts_ms:1.0 ~dur_ms:1.0 ();
-  (* an undecorated wall span stays in the wall process *)
-  Obs.span ~clock:Ev.Wall obs ~cat:"analysis" ~track:"t" ~name:"plain"
-    ~ts_ms:2.0 ~dur_ms:1.0 ();
-  let root =
-    match parse_json (Chrome.json_of_events (Obs.events obs)) with
-    | v -> v
-    | exception Bad_json msg -> Alcotest.fail ("invalid JSON: " ^ msg)
-  in
-  let events =
-    match member "traceEvents" root with
-    | Some (Arr l) -> l
-    | _ -> Alcotest.fail "traceEvents array missing"
-  in
-  let pid_of e =
-    match member "pid" e with Some (Num p) -> int_of_float p | _ -> -1
-  in
-  let span_pids =
-    List.filter_map
-      (fun e ->
-        match member "ph" e with
-        | Some (Str "X") -> Some (pid_of e)
-        | _ -> None)
-      events
-  in
-  Alcotest.(check (list int)) "spans grouped per domain (pid 3 + d)"
-    [ 2; 3; 5 ]
-    (List.sort compare span_pids);
-  let proc_names =
-    List.filter_map
-      (fun e ->
-        match (member "ph" e, member "name" e) with
-        | Some (Str "M"), Some (Str "process_name") -> (
-            match Option.bind (member "args" e) (member "name") with
-            | Some (Str n) -> Some (pid_of e, n)
-            | _ -> None)
-        | _ -> None)
-      events
-  in
-  Alcotest.(check bool) "domain 0 process named" true
-    (List.mem (3, "domain 0 (tpdf_par)") proc_names);
-  Alcotest.(check bool) "domain 2 process named" true
-    (List.mem (5, "domain 2 (tpdf_par)") proc_names)
-
 let () =
   Alcotest.run "obs"
     [
@@ -756,10 +707,5 @@ let () =
           Alcotest.test_case "chain reconstruction" `Quick test_critpath_chain;
           Alcotest.test_case "no firing spans" `Quick test_critpath_empty;
           Alcotest.test_case "fig2 end to end" `Quick test_critpath_fig2;
-        ] );
-      ( "chrome-domains",
-        [
-          Alcotest.test_case "per-domain processes" `Quick
-            test_chrome_domain_processes;
         ] );
     ]

@@ -596,14 +596,29 @@ let test_compiles_counter () =
 (* Tick, metrics, checkpoint ops                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The fleet is ticked twice over: on a daemon without a pool, and on
+   one that shards the tick across 2 domains.  Sharding must not move a
+   byte of the tick response or of any tenant's state. *)
 let test_tick () =
-  let d = daemon ~cfg:fleet_cfg () in
-  List.iter
-    (fun ((name, _, _) as spec) ->
-      ignore (rpc d (List.hd (tenant_reqs spec)));
-      ignore name)
-    all_tenants;
-  let t = rpc d [ ("id", J.String "t"); ("op", J.String "tick"); ("iterations", J.Int 2) ] in
+  let tick ?pool () =
+    let d =
+      match D.create ?pool fleet_cfg with Ok d -> d | Error e -> Alcotest.fail e
+    in
+    List.iter (fun spec -> ignore (rpc d (List.hd (tenant_reqs spec)))) all_tenants;
+    let t =
+      rpc d [ ("id", J.String "t"); ("op", J.String "tick"); ("iterations", J.Int 2) ]
+    in
+    (t, List.map (fun (name, _, _) -> rpc d (query_req name)) all_tenants)
+  in
+  let t, queries = tick () in
+  let pool = Tpdf_par.Pool.create ~domains:2 in
+  let t2, queries2 =
+    Fun.protect ~finally:(fun () -> Tpdf_par.Pool.shutdown pool) (tick ~pool)
+  in
+  Alcotest.(check string) "sharded tick response" t t2;
+  List.iter2
+    (Alcotest.(check string) "sharded tenant query")
+    queries queries2;
   Alcotest.(check bool) "tick ok" true (is_ok t);
   Alcotest.(check int) "healthy tenants advanced" (List.length healthy)
     (int_field t "advanced");
@@ -611,11 +626,11 @@ let test_tick () =
   | Some (J.List [ J.String n ]) ->
       Alcotest.(check string) "faulter quarantined by tick" faulter_name n
   | _ -> Alcotest.fail "tick should quarantine exactly the faulter");
-  List.iter
-    (fun (name, _, _) ->
-      Alcotest.(check int) (name ^ " ticked twice") 2
-        (int_field (rpc d (query_req name)) "done"))
-    healthy
+  List.iter2
+    (fun (name, _, _) q ->
+      if name <> faulter_name then
+        Alcotest.(check int) (name ^ " ticked twice") 2 (int_field q "done"))
+    all_tenants queries
 
 let test_metrics_and_checkpoint () =
   with_temp_dir @@ fun dir ->
