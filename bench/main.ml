@@ -1223,7 +1223,7 @@ let e20_obs () =
      the first surviving denominator, rescan) is quadratic in the actor
      count.  Solved both by the current kernel (Csdf.Repetition.solve) and
      by a faithful port of the pre-rewrite pipeline over the frozen
-     Tpdf_param.Legacy modules; outputs are asserted identical and the
+     Tpdf_param_legacy.Legacy modules; outputs are asserted identical and the
      speedup column is gated in CI on the 100-parameter row.
 
    - "blocks" (kind=rate_safety): Fig. 2 control blocks chained back to
@@ -1231,7 +1231,7 @@ let e20_obs () =
      Analysis.rate_safety end to end on ~1000 actors with ~100 parameters
      (degree-~170 monomials in the repetition vector). *)
 
-module Legacy = Tpdf_param.Legacy
+module Legacy = Tpdf_param_legacy.Legacy
 module Q = Tpdf_util.Q
 
 let e21_pname i = Printf.sprintf "p%02d" i
@@ -1556,7 +1556,7 @@ let e21_param () =
   fp "  \"baseline\": {\n";
   fp
     "    \"kernel\": \"pre-rewrite assoc-list Monomial/Poly/Frac \
-     (Tpdf_param.Legacy), first-fractional denominator clearing\"\n";
+     (Tpdf_param_legacy.Legacy), first-fractional denominator clearing\"\n";
   fp "  },\n";
   fp "  \"rows\": [\n";
   List.iteri

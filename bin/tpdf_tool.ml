@@ -170,9 +170,19 @@ let cmd_analyze name params =
               Format.printf "rate safety: [%s, e%d] %s@." viol.Analysis.control
                 viol.Analysis.channel viol.Analysis.reason)
             vs);
-      let b =
-        Analysis.check_boundedness g ~samples:(Liveness.default_samples g)
+      (* Liveness is judged on the given valuation; without one, on the
+         default samples, which the output names. *)
+      let samples =
+        match params with
+        | [] ->
+            let samples = Liveness.default_samples g in
+            Format.printf "liveness samples: %s@."
+              (String.concat " "
+                 (List.map (Format.asprintf "%a" Valuation.pp) samples));
+            samples
+        | _ -> [ need_valuation g params ]
       in
+      let b = Analysis.check_boundedness g ~samples in
       Format.printf
         "boundedness: consistent=%b rate_safe=%b live=%b => bounded=%b@."
         b.Analysis.consistent b.Analysis.rate_safe b.Analysis.live
@@ -228,10 +238,13 @@ let cmd_buffers name params scenario minimize =
 let cmd_simulate name params iterations trace backend =
   let g = or_die (lookup_graph name) in
   let v = need_valuation g params in
-  let eng = Tpdf_sim.Engine.create ~graph:g ~valuation:v ~default:0 () in
+  (* The trace is the obs stream: a full collector only when asked. *)
+  let obs = if trace then Obs.create () else Obs.disabled in
+  let eng = Tpdf_sim.Engine.create ~graph:g ~valuation:v ~obs ~default:0 () in
   match Tpdf_sim.Engine.run ~backend ~iterations eng with
   | stats ->
-      if trace then print_string (Tpdf_sim.Trace.gantt stats);
+      if trace then
+        print_string (Tpdf_sim.Trace.gantt_of_events (Obs.events obs));
       Format.printf "completed at %.3f ms@." stats.Tpdf_sim.Engine.end_ms;
       List.iter
         (fun (a, n) -> Format.printf "  %-12s fired %4d time(s)@." a n)
@@ -976,12 +989,13 @@ let cmd_resume path every dir kill_at backend =
   let file =
     if Sys.is_directory path then
       match Ckpt.Store.latest (Ckpt.Store.open_dir path) with
-      | Some (_, p, file) ->
+      | Ok (Some (_, p, file)) ->
           (* stderr, so stdout stays comparable to the uninterrupted run *)
           Printf.eprintf "resuming from %s\n%!" p;
           file
-      | None ->
+      | Ok None ->
           or_die (Error (Printf.sprintf "%s: no valid checkpoint found" path))
+      | Error e -> or_die (Error e)
     else
       match Ckpt.read path with
       | Ok file -> file

@@ -165,6 +165,23 @@ fi
 grep -q 'bad\.tpdf:1:' "$bad_dir/err"
 test "$(wc -l < "$bad_dir/err")" -eq 1
 
+# analyze --param judges liveness on the given valuation, not on the
+# default samples: the cycle A [p] -> [1] B [1] -> [p] A with 7 initial
+# tokens is live at p=7 and deadlocks at p=8.
+echo "== smoke: analyze --param judges liveness on the valuation =="
+cat > "$bad_dir/cycle.tpdf" <<'EOF'
+tpdf graph {
+  kernel A;
+  kernel B;
+  channel e0 = A [p] -> [1] B;
+  channel e1 = B [1] -> [p] A init=7;
+}
+EOF
+dune exec bin/tpdf_tool.exe -- analyze "$bad_dir/cycle.tpdf" --param p=8 \
+  | grep -q 'live=false'
+dune exec bin/tpdf_tool.exe -- analyze "$bad_dir/cycle.tpdf" --param p=7 \
+  | grep -q 'live=true'
+
 # Crash-recovery smoke: a chaos run killed mid-flight must exit 3 and
 # leave a resumable checkpoint; resuming must reproduce the
 # uninterrupted run's stdout byte for byte.

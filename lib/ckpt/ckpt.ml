@@ -7,12 +7,15 @@
    Writes go through a temp file + fsync + rename, so a crash at any
    byte offset leaves either the previous checkpoint or a file the
    reader rejects — never a silently divergent resume.  [Store] manages
-   a directory of numbered checkpoints and falls back to the newest one
-   that still verifies. *)
+   a directory of numbered checkpoints and falls back past torn or
+   corrupt files to the newest one that still verifies.  A file that
+   verifies but names another format version is never skipped as torn:
+   it is an error, because falling back past it would silently resume
+   from older state (or from none). *)
 
 module Snapshot = Tpdf_sim.Snapshot
 
-let version_line = "tpdf-ckpt 1"
+let version_line = "tpdf-ckpt 2"
 
 type t = {
   kind : string;
@@ -61,9 +64,8 @@ let pr_token b = function
       pr_str b s;
       Buffer.add_char b '\n'
 
-let pr_firing b key (f : Snapshot.firing) =
-  Buffer.add_string b key;
-  Buffer.add_char b ' ';
+let pr_record b (f : Snapshot.firing) =
+  Buffer.add_string b "record ";
   pr_str b f.f_actor;
   Buffer.add_string b (Printf.sprintf " %d %d " f.f_index f.f_phase);
   pr_str b f.f_mode;
@@ -122,10 +124,8 @@ let pr_snapshot b (s : Snapshot.t) =
                 (Printf.sprintf "out %d %d\n" port (List.length toks));
               List.iter (pr_token b) toks)
             c_outputs;
-          pr_firing b "record" c_record)
-    s.heap;
-  Buffer.add_string b (Printf.sprintf "trace %d\n" (List.length s.trace));
-  List.iter (pr_firing b "firing") s.trace
+          pr_record b c_record)
+    s.heap
 
 let valid_atom s =
   s <> "" && String.for_all (fun c -> c > ' ' && c <> '"' && c <> '\\') s
@@ -255,9 +255,9 @@ let parse_token cur =
   | [ "tok"; "c"; s ] -> Snapshot.Ctrl s
   | _ -> fail "expected token line"
 
-let parse_firing key cur : Snapshot.firing =
+let parse_record cur : Snapshot.firing =
   match next_fields cur with
-  | [ k; actor; index; phase; mode; start_ms; finish_ms ] when k = key ->
+  | [ "record"; actor; index; phase; mode; start_ms; finish_ms ] ->
       {
         f_actor = actor;
         f_index = int_of index;
@@ -266,7 +266,7 @@ let parse_firing key cur : Snapshot.firing =
         f_start_ms = float_of start_ms;
         f_finish_ms = float_of finish_ms;
       }
-  | _ -> fail "expected %S line" key
+  | _ -> fail "expected \"record\" line"
 
 let parse_snapshot cur : Snapshot.t =
   let now =
@@ -344,7 +344,7 @@ let parse_snapshot cur : Snapshot.t =
                   | _ -> fail "expected \"out\" line")
                 []
             in
-            let record = parse_firing "record" cur in
+            let record = parse_record cur in
             {
               h_time = float_of time;
               h_seq = int_of seq;
@@ -354,11 +354,18 @@ let parse_snapshot cur : Snapshot.t =
         | _ -> fail "expected \"event\" line")
       []
   in
-  let n_trace = expect_count cur "trace" in
-  let trace = times n_trace (fun () -> parse_firing "firing" cur) [] in
-  { now; armed; heap_seq; actors; channels; heap; trace }
+  { now; armed; heap_seq; actors; channels; heap }
 
-let of_string s =
+(* A file whose checksum verifies but whose header is not
+   [version_line]: written whole, by another format version. *)
+exception Foreign of string
+
+let foreign_message header =
+  Printf.sprintf
+    "checkpoint format %S, this build reads %S only (no migration)" header
+    version_line
+
+let parse s =
   try
     (* Locate and verify the trailing checksum first: everything up to
        and including the newline before the checksum line is the body it
@@ -412,7 +419,7 @@ let of_string s =
     let cur = { lines; pos = 0 } in
     (match next_line cur with
     | l when l = version_line -> ()
-    | l -> fail "unsupported format/version %S" l);
+    | l -> raise (Foreign l));
     let kind =
       match next_fields cur with
       | [ "kind"; k ] -> k
@@ -451,7 +458,15 @@ let of_string s =
     | _ -> fail "expected \"end\" line");
     if cur.pos <> Array.length cur.lines then fail "trailing lines before checksum";
     Ok { kind; meta; graph_src; valuation; snapshot }
-  with Parse m -> Error ("checkpoint: " ^ m)
+  with
+  | Parse m -> Error (`Corrupt ("checkpoint: " ^ m))
+  | Foreign header -> Error (`Foreign header)
+
+let message = function
+  | `Corrupt m -> m
+  | `Foreign header -> "checkpoint: " ^ foreign_message header
+
+let of_string s = Result.map_error message (parse s)
 
 (* ---------- crash-consistent IO ---------- *)
 
@@ -462,10 +477,13 @@ let write_string path data = Tpdf_util.Atomic_file.write path data
 
 let write path t = write_string path (to_string t)
 
-let read path =
+(* An unreadable file is as good as a torn one. *)
+let read_parsed path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | s -> of_string s
-  | exception Sys_error m -> Error ("checkpoint: " ^ m)
+  | s -> parse s
+  | exception Sys_error m -> Error (`Corrupt ("checkpoint: " ^ m))
+
+let read path = Result.map_error message (read_parsed path)
 
 (* ---------- checkpoint directories ---------- *)
 
@@ -503,11 +521,14 @@ module Store = struct
 
   let latest t =
     let rec pick = function
-      | [] -> None
+      | [] -> Ok None
       | seq :: older -> (
-          match read (path t seq) with
-          | Ok c -> Some (seq, path t seq, c)
-          | Error _ -> pick older)
+          let p = path t seq in
+          match read_parsed p with
+          | Ok c -> Ok (Some (seq, p, c))
+          | Error (`Corrupt _) -> pick older
+          | Error (`Foreign header) ->
+              Error (p ^ ": " ^ foreign_message header))
     in
     pick (List.rev (seqs t))
 end

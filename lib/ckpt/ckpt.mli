@@ -31,7 +31,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse and verify.  Any truncation, corruption, or checksum mismatch
-    yields [Error] with a one-line reason. *)
+    yields [Error] with a one-line reason, and so does a file that
+    verifies but whose header names another format version than
+    [tpdf-ckpt 2]: checkpoints are never migrated across versions. *)
 
 val write : string -> t -> unit
 (** Atomic, durable write: serialize to [path ^ ".tmp"], [fsync], then
@@ -45,8 +47,9 @@ val fnv1a64 : string -> int64
 (** The checksum primitive (FNV-1a, 64-bit), exposed for tests. *)
 
 (** A directory of numbered checkpoints ([ckpt-<seq>.tpdfckpt]).
-    {!Store.latest} falls back to the newest file that still verifies,
-    so a crash mid-write of checkpoint [n] resumes from [n-1]. *)
+    {!Store.latest} falls back past torn or corrupt files to the newest
+    one that still verifies, so a crash mid-write of checkpoint [n]
+    resumes from [n-1]. *)
 module Store : sig
   type ckpt = t
   type t
@@ -66,7 +69,10 @@ module Store : sig
   (** Sequence numbers present (canonically named files only), sorted
       ascending.  Presence does not imply validity. *)
 
-  val latest : t -> (int * string * ckpt) option
+  val latest : t -> ((int * string * ckpt) option, string) result
   (** Newest checkpoint that parses and passes its checksum, skipping
-      corrupt or torn files. *)
+      corrupt or torn files; [Ok None] when none does.  A file that
+      verifies but names another format version is not skipped: the
+      walk stops with [Error] naming the file and its version, because
+      skipping it would silently resume from older state. *)
 end

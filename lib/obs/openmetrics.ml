@@ -133,7 +133,7 @@ let kind_name = function
   | Gauge -> "gauge"
   | Summary -> "summary"
 
-let render metrics =
+let render_with ~gauges metrics =
   (* family -> (kind, sample lines) *)
   let families : (string, kind * string list ref) Hashtbl.t =
     Hashtbl.create 64
@@ -158,7 +158,7 @@ let render metrics =
       let fam, labels = family_of name in
       add fam Gauge
         [ Printf.sprintf "%s%s %s" fam (render_labels labels) (fmt_float v) ])
-    (Metrics.gauges metrics);
+    (Metrics.gauges metrics @ gauges);
   List.iter
     (fun (name, (s : Metrics.histogram_stats)) ->
       let fam, labels = family_of name in
@@ -190,6 +190,8 @@ let render metrics =
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
+let render metrics = render_with ~gauges:[] metrics
+
 (* Periodic snapshot export: rewrite [path] atomically (temp + fsync +
    rename, shared with the checkpoint layer) at most once per
    [interval_ms].  Readers always see a complete exposition. *)
@@ -205,11 +207,6 @@ module Exporter = struct
     { path; interval_ms; metrics; last_ms = neg_infinity }
 
   let flush t = Tpdf_util.Atomic_file.write t.path (render t.metrics)
-
-  let try_flush t =
-    match Tpdf_util.Atomic_file.write_result t.path (render t.metrics) with
-    | Ok () -> Ok ()
-    | Error e -> Error (Printf.sprintf "metrics export to %s: %s" t.path e)
 
   let tick t =
     let now = Unix.gettimeofday () *. 1000.0 in

@@ -16,6 +16,12 @@
 
 val render : Metrics.t -> string
 
+val render_with : gauges:(string * float) list -> Metrics.t -> string
+(** {!render} of the registry plus [gauges]: values the caller derives
+    from live state at render time instead of holding them in the
+    registry, so nothing outlives the state they describe.  Their names
+    must not also be gauges of the registry. *)
+
 val family_of : string -> string * (string * string) list
 (** The family name and labels a registry name maps to (exposed for
     tests and tooling). *)
@@ -39,9 +45,4 @@ module Exporter : sig
   val flush : t -> unit
   (** Unconditional rewrite (used at end of run).
       @raise Unix.Unix_error on IO failure. *)
-
-  val try_flush : t -> (unit, string) result
-  (** {!flush} with IO failures surfaced as [Error] instead of raised —
-      the form long-running exporters (the serve daemon) use so an
-      unwritable path degrades to a counted error. *)
 end

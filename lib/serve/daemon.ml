@@ -50,7 +50,6 @@ type t = {
   reg : R.t;
   metrics : Metrics.t;
   pool : Tpdf_par.Pool.t option;
-  exporter : Tpdf_obs.Openmetrics.Exporter.t option;
   dial : dial;
   rids : (string, string) Hashtbl.t;  (** rid -> cached response line *)
   rid_q : string Queue.t;  (** FIFO of cached rids, oldest first *)
@@ -715,28 +714,36 @@ let state_gauge tn =
   | R.Migrating _ -> 3.0
   | R.Prepared _ -> 4.0
 
+(* The fleet and per-tenant gauges are read off the live tenant table
+   when the metrics are rendered, never stored in the long-lived
+   registry: a removed or migrated-away tenant leaves no series behind. *)
+let fleet_gauges d =
+  let f = float_of_int in
+  [
+    ("serve.tenants", f (R.count d.reg));
+    ("serve.resident", f (R.resident d.reg));
+    ("serve.queue_depth", f (List.length (R.queue d.reg)));
+    ("serve.capacity_used", f (R.running_cost d.reg));
+    ("serve.capacity", f d.cfg.capacity);
+  ]
+  @ List.concat_map
+      (fun tn ->
+        let n = tn.R.t_name in
+        [
+          ("serve.tenant.iterations." ^ n, f tn.R.t_done);
+          ("serve.tenant.skips." ^ n, f tn.R.t_skips);
+          ("serve.tenant.cost." ^ n, f tn.R.t_cost);
+          ("serve.tenant.state." ^ n, state_gauge tn);
+        ])
+      (R.tenants d.reg)
+
+(* The fleet's exposition: the [metrics] op's answer and the
+   [metrics_out] file are this one text. *)
+let exposition d =
+  Tpdf_obs.Openmetrics.render_with ~gauges:(fleet_gauges d) d.metrics
+
 let h_metrics d ~id _req =
-  let m = d.metrics in
-  Metrics.set_gauge m "serve.tenants" (float_of_int (R.count d.reg));
-  Metrics.set_gauge m "serve.resident" (float_of_int (R.resident d.reg));
-  Metrics.set_gauge m "serve.queue_depth"
-    (float_of_int (List.length (R.queue d.reg)));
-  Metrics.set_gauge m "serve.capacity_used"
-    (float_of_int (R.running_cost d.reg));
-  Metrics.set_gauge m "serve.capacity" (float_of_int d.cfg.capacity);
-  List.iter
-    (fun tn ->
-      let n = tn.R.t_name in
-      Metrics.set_gauge m ("serve.tenant.iterations." ^ n)
-        (float_of_int tn.R.t_done);
-      Metrics.set_gauge m ("serve.tenant.skips." ^ n)
-        (float_of_int tn.R.t_skips);
-      Metrics.set_gauge m ("serve.tenant.cost." ^ n)
-        (float_of_int tn.R.t_cost);
-      Metrics.set_gauge m ("serve.tenant.state." ^ n) (state_gauge tn))
-    (R.tenants d.reg);
-  P.ok ~id
-    [ ("openmetrics", Json.String (Tpdf_obs.Openmetrics.render m)) ]
+  P.ok ~id [ ("openmetrics", Json.String (exposition d)) ]
 
 let h_checkpoint d ~id _req =
   match R.dir d.reg with
@@ -1262,9 +1269,9 @@ let handle d req =
   let t0 = Obs.now_wall_ms () in
   let resp = dispatch d req in
   Metrics.observe d.metrics "serve.request_ms" (Obs.now_wall_ms () -. t0);
-  (match d.exporter with
-  | Some ex -> (
-      match Tpdf_obs.Openmetrics.Exporter.try_flush ex with
+  (match d.cfg.metrics_out with
+  | Some path -> (
+      match Tpdf_util.Atomic_file.write_result path (exposition d) with
       | Ok () -> ()
       | Error _ -> incr d "serve.export_errors")
   | None -> ());
@@ -1351,12 +1358,6 @@ let create ?pool ?dial cfg =
         Metrics.incr m "serve.daemon_restores";
         Metrics.incr ~by:(R.count reg) m "serve.tenants_restored"
       end;
-      let exporter =
-        Option.map
-          (fun path ->
-            Tpdf_obs.Openmetrics.Exporter.create ~path ~interval_ms:0.0 m)
-          cfg.metrics_out
-      in
       let dial =
         Option.value dial
           ~default:(fun _addr _line ->
@@ -1368,7 +1369,6 @@ let create ?pool ?dial cfg =
           reg;
           metrics = m;
           pool;
-          exporter;
           dial;
           rids = Hashtbl.create 64;
           rid_q = Queue.create ();

@@ -371,8 +371,9 @@ let load ~dir =
   | None -> Ok (t, [])
   | Some store -> (
       match Ckpt.Store.latest store with
-      | None -> Ok (t, [])
-      | Some (seq, _path, file) ->
+      | Error e -> Error e
+      | Ok None -> Ok (t, [])
+      | Ok (Some (seq, _path, file)) ->
           if file.Ckpt.kind <> "serve-manifest" then
             Error
               (Printf.sprintf "manifest has kind %S, expected serve-manifest"
@@ -537,11 +538,12 @@ let revive t tenant =
                tenant.t_name)
       | Some store -> (
           match Ckpt.Store.latest store with
-          | None ->
+          | Error e -> Error e
+          | Ok None ->
               Error
                 (Printf.sprintf "tenant %S has no valid checkpoint on disk"
                    tenant.t_name)
-          | Some (_seq, _path, file) ->
+          | Ok (Some (_seq, _path, file)) ->
               let* hot = hot_of_file file in
               (* The tenant file is authoritative for {e progress} —
                  every advance force-saves it before the counters move.

@@ -162,7 +162,10 @@ val save_manifest : t -> counters:(string * int) list -> unit
 val load : dir:string -> (t * (string * int) list, string) result
 (** Restore a registry from the newest valid manifest: tenants come back
     cold, the queue and statuses as persisted; returns the saved fleet
-    counters.  [Ok] with an empty registry when no manifest exists. *)
+    counters.  [Ok] with an empty registry when no manifest exists.
+    [Error] naming the file and its version when the newest manifest
+    that verifies was written in another checkpoint format version
+    (see {!Tpdf_ckpt.Ckpt.Store.latest}). *)
 
 val revive : t -> tenant -> (hot, string) result
 (** Load a cold tenant's newest valid checkpoint, adopt its progress

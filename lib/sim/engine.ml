@@ -22,7 +22,6 @@ type stats = {
   firings : (string * int) list;
   max_occupancy : (int * int) list;
   dropped : (int * int) list;
-  trace : firing_record list;
 }
 
 type error =
@@ -116,7 +115,7 @@ type obs_mode = Obs_off | Obs_full | Obs_sampled of Obs.sampling
    iterations of one configuration compiles once.  The event queue is a
    binary heap ordered by (time, seq) — FIFO on ties — and scheduling
    uses a dirty-actor worklist instead of a global rescan.  The
-   observable semantics (stats, traces, tpdf_obs streams) are bit-for-bit
+   observable semantics (stats, tpdf_obs streams) are bit-for-bit
    those of the seed engine, enforced by test/test_engine_equiv.ml. *)
 type program = {
   graph : Tpdf.Graph.t;
@@ -178,7 +177,6 @@ type 'a t = {
   mutable remaining : int; (* actors still short of their firing limit *)
   events : 'a event_kind Event_heap.t;
   mutable now : float;
-  mutable trace : firing_record list;
   mutable armed : bool; (* clock Ticks scheduled; armed once per engine *)
   (* telemetry (not simulation state; excluded from snapshots) *)
   mutable ran_compiled : bool; (* last run_outcome used the compiled backend *)
@@ -529,7 +527,6 @@ let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
       remaining = 0;
       events = Event_heap.create ();
       now = 0.0;
-      trace = [];
       armed = false;
       ran_compiled = false;
       omode;
@@ -926,10 +923,10 @@ let flush_sampled t =
             Metrics.set_gauge m ("engine.busy_ms." ^ a) t.s_busy.(ai))
         t.p.actor_names
 
-(* Process one completion: deliver outputs, wake consumers, record the
-   trace and obs span.  Shared verbatim by the event loop and the
-   compiled round executor — identical processing order plus identical
-   processing code is what makes the two backends byte-equivalent. *)
+(* Process one completion: deliver outputs, wake consumers, emit the
+   obs span.  Shared verbatim by the event loop and the compiled round
+   executor — identical processing order plus identical processing code
+   is what makes the two backends byte-equivalent. *)
 let complete_event t ~limit ai outputs record =
   t.busy.(ai) <- false;
   let c = t.completed.(ai) + 1 in
@@ -938,7 +935,6 @@ let complete_event t ~limit ai outputs record =
     t.remaining <- t.remaining - 1;
   List.iter (fun (ch, toks) -> push_tokens t ch toks) outputs;
   mark_dirty t ai;
-  t.trace <- record :: t.trace;
   match t.omode with
   | Obs_off -> ()
   | Obs_full ->
@@ -1001,9 +997,6 @@ let tick_event t ai =
   validate_outputs t ai rates outputs;
   t.count.(ai) <- index + 1;
   List.iter (fun (ch, toks) -> push_tokens t ch toks) outputs;
-  t.trace <-
-    { actor = a; index; phase; mode = "tick"; start_ms = t.now; finish_ms = t.now }
-    :: t.trace;
   if Obs.enabled t.obs then begin
     Obs.instant t.obs ~cat:"clock" ~track:a ~name:(a ^ "/tick") ~ts_ms:t.now
       ~args:[ ("index", Ev.Int index); ("phase", Ev.Int phase) ]
@@ -1046,14 +1039,13 @@ let rec deliver_fast t = function
       if occ > t.max_occ.(ch) then t.max_occ.(ch) <- occ;
       deliver_fast t rest
 
-let complete_fast t ~limit ai outputs record =
+let complete_fast t ~limit ai outputs =
   t.busy.(ai) <- false;
   let c = t.completed.(ai) + 1 in
   t.completed.(ai) <- c;
   if limit.(ai) <> max_int && c = limit.(ai) then
     t.remaining <- t.remaining - 1;
-  deliver_fast t outputs;
-  t.trace <- record :: t.trace
+  deliver_fast t outputs
 
 (* [true] iff [toks] has exactly [want] tokens, all of channel [ch]'s
    class. *)
@@ -1078,20 +1070,6 @@ let rec validate_fast t expected outputs =
           toks_ok t ch rate toks && validate_fast t erest orest
       | _ -> rate = 0 && validate_fast t erest outputs)
   | [] -> ( match outputs with [] -> true | _ :: _ -> false)
-
-(* Stats-tail helpers, top-level so the 100k-record walks stay
-   closure-free.  [trace_sorted] is conservative under NaN (returns
-   [false], falling back to the sort — identical result either way). *)
-let rec max_finish acc = function
-  | [] -> acc
-  | r :: rest -> max_finish (if r.finish_ms > acc then r.finish_ms else acc) rest
-
-let rec trace_sorted = function
-  | a :: (b :: _ as rest) ->
-      (a.start_ms < b.start_ms
-      || (a.start_ms = b.start_ms && a.finish_ms <= b.finish_ms))
-      && trace_sorted rest
-  | _ -> true
 
 let dummy_record =
   { actor = ""; index = 0; phase = 0; mode = ""; start_ms = 0.0; finish_ms = 0.0 }
@@ -1368,7 +1346,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
             (if h1 = Array.length q.Cfifo.times then 0 else h1);
           q.Cfifo.len <- q.Cfifo.len - 1;
           if obs_off then begin
-            complete_fast t ~limit ai outputs record;
+            complete_fast t ~limit ai outputs;
             let wl = wake.(ai) in
             for k = 0 to Array.length wl - 1 do
               let aj = wl.(k) in
@@ -1425,7 +1403,10 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
             exporter_tick ()
     end
   done;
-  let end_ms = max_finish 0.0 t.trace in
+  (* Events are processed in time order and a completion's event time is
+     its firing's finish, so the last processed event's time is the end
+     of the run. *)
+  let end_ms = t.now in
   if Obs.enabled t.obs then begin
     let m = Obs.metrics t.obs in
     Metrics.set_gauge m "engine.end_ms" end_ms;
@@ -1453,19 +1434,6 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
       dropped =
         Array.to_list
           (Array.map (fun ch -> (ch, t.dropped.(ch))) t.p.chan_order);
-      trace =
-        (let rev = List.rev t.trace in
-         (* completion order is already start-time order under uniform
-            durations (every compiled run, most event runs); skip the
-            sort then — stable_sort leaves a sorted list untouched, so
-            the result is identical either way *)
-         if trace_sorted rev then rev
-         else
-           List.stable_sort
-             (fun a b ->
-               let c = Float.compare a.start_ms b.start_ms in
-               if c <> 0 then c else Float.compare a.finish_ms b.finish_ms)
-             rev);
     }
   in
   if !budget_hit then
@@ -1593,7 +1561,6 @@ let snapshot ~encode t =
     actors;
     channels;
     heap;
-    trace = List.rev_map firing t.trace;
   }
 
 let restore p ?init_token ?behaviors ?obs ~default ~decode (s : Snapshot.t) =
@@ -1686,5 +1653,4 @@ let restore p ?init_token ?behaviors ?obs ~default ~decode (s : Snapshot.t) =
        s.heap);
   t.now <- s.now;
   t.armed <- s.armed;
-  t.trace <- List.rev_map firing s.trace;
   t

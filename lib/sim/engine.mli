@@ -22,6 +22,10 @@
     actors woken by token arrivals or their own completion — see DESIGN.md,
     "Engine internals", for the structure and the determinism contract. *)
 
+(** One firing: the payload of an in-flight completion, from which its
+    ["firing"] span is emitted when it completes.  The engine keeps no
+    history of finished firings; {!Trace.records_of_events} rebuilds
+    them from the [tpdf_obs] stream. *)
 type firing_record = {
   actor : string;
   index : int;
@@ -32,11 +36,12 @@ type firing_record = {
 }
 
 type stats = {
-  end_ms : float;  (** completion time of the last firing *)
+  end_ms : float;
+      (** virtual time of the last processed event: the completion time
+          of the last firing (or the last clock tick) *)
   firings : (string * int) list;  (** per actor *)
   max_occupancy : (int * int) list;  (** per channel id, incl. initial *)
   dropped : (int * int) list;  (** rejected tokens per channel id *)
-  trace : firing_record list;  (** in start order *)
 }
 
 (** {2 Typed run diagnoses}
@@ -165,8 +170,8 @@ val run_outcome :
     [backend] (default [`Event]) selects the execution strategy, never
     the semantics: [`Compiled] replays the static-schedule rounds of
     §III-D with two flat FIFOs instead of the event heap, and is
-    byte-equivalent to [`Event] — outcomes, stats, traces, obs streams
-    and snapshot images are identical (enforced by
+    byte-equivalent to [`Event] — outcomes, stats, obs streams and
+    snapshot images are identical (enforced by
     [test/test_engine_equiv.ml]).  It engages when the run starts clean
     (no clocked actors, no pending events or in-flight firings)
     and firing durations are uniform; any other situation — including
@@ -210,7 +215,7 @@ val pending_events : 'a t -> int
 
     The engine's complete deterministic run state as plain data (see
     {!Snapshot}): restore-then-continue is byte-identical to an
-    uninterrupted run — outcomes, stats, traces and [tpdf_obs] streams —
+    uninterrupted run — outcomes, stats and [tpdf_obs] streams —
     at any iteration boundary or mid-iteration point.  Enforced by
     [test/test_ckpt.ml]. *)
 

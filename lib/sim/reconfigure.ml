@@ -54,7 +54,8 @@ let txn_instant obs ~offset ~name args =
 
 (* Static admission check for a new valuation: every parameter bound,
    rate safety, boundedness (Theorem 2) with the valuation as the
-   liveness sample.  Runs without [obs] — a rejected transaction must
+   liveness sample — so a bounded verdict has already proved this exact
+   valuation live.  Runs without [obs] — a rejected transaction must
    leave no trace beyond its [txn.abort]. *)
 let validate_valuation graph valuation =
   let missing =
@@ -72,19 +73,13 @@ let validate_valuation graph valuation =
              v.Tpdf.Analysis.control v.Tpdf.Analysis.channel
              v.Tpdf.Analysis.reason)
     | Error [] -> Error "rate safety violated"
-    | Ok () -> (
+    | Ok () ->
         let b = Tpdf.Analysis.check_boundedness graph ~samples:[ valuation ] in
-        if not b.Tpdf.Analysis.bounded then
+        if b.Tpdf.Analysis.bounded then Ok ()
+        else
           Error
             ("not bounded under this valuation: "
             ^ String.concat "; " b.Tpdf.Analysis.notes)
-        else
-          match Tpdf.Liveness.check graph valuation with
-          | r when r.Tpdf.Liveness.live -> Ok ()
-          | r ->
-              Error
-                ("not live under this valuation; stuck: "
-                ^ String.concat ", " r.Tpdf.Liveness.stuck))
 
 type staged =
   | St_committed of Engine.stats
@@ -125,64 +120,56 @@ let record_abort obs ~offset ~index ~what reason =
     Metrics.incr (Obs.metrics obs) "reconfigure.aborts";
   { abort_index = index; abort_what = what; abort_reason = reason }
 
-let run_sequence ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
-    ?targets ?(txn = false) ~default valuations =
-  if valuations = [] then
-    invalid_arg "Reconfigure.run_sequence: empty valuation sequence";
+(* The loop [run_sequence] and [run_scenarios] share: one iteration per
+   item — a valuation or a scenario, named [noun] — on one virtual
+   timeline.  [start item obs] builds the item's engine under [obs], the
+   collector shifted to the current offset, and returns it with the
+   run's firing targets.  The plain and the transactional path run the
+   same iteration body — reconfigure instant, [start], the run — and
+   differ only in how the run is taken: [Engine.run], or
+   [Engine.run_outcome] staged by [staged_iteration]. *)
+let sequence obs ~fn ~noun ~describe ~validate ~valuation_of ~start ?backend
+    ~iterations ~txn items =
   let offset = ref 0.0 in
   let aborts = ref [] in
   let committed = ref None in
-  (* The plain (non-transactional) iteration body: reconfigure instant,
-     fresh engine on the shifted timeline, one iteration. *)
-  let plain valuation =
-    reconfigure_instant obs ~offset:!offset ~what:"valuation"
-      (Format.asprintf "%a" Tpdf_param.Valuation.pp valuation);
-    let eng =
-      Engine.create ~graph ~valuation ~behaviors
-        ~obs:(Obs.shift obs !offset) ~default ()
-    in
-    let targets =
-      match targets with None -> None | Some f -> Some (f valuation)
-    in
-    let stats = Engine.run ?backend ?targets eng in
-    offset := !offset +. stats.Engine.end_ms;
-    { valuation; stats }
+  let iteration item ~run =
+    reconfigure_instant obs ~offset:!offset ~what:noun (describe item);
+    let eng, targets = start item (Obs.shift obs !offset) in
+    run ?targets eng
   in
-  let iterations =
+  let finish item stats =
+    offset := !offset +. stats.Engine.end_ms;
+    { valuation = valuation_of item; stats }
+  in
+  let plain item =
+    finish item
+      (iteration item ~run:(fun ?targets eng ->
+           Engine.run ?backend ~iterations ?targets eng))
+  in
+  let runs =
     List.mapi
-      (fun index valuation ->
-        if not txn then plain valuation
+      (fun index item ->
+        if not txn then plain item
         else begin
-          let what =
-            Format.asprintf "%a" Tpdf_param.Valuation.pp valuation
-          in
-          txn_instant obs ~offset:!offset ~name:"txn.begin"
-            [ ("valuation", what) ];
+          let what = describe item in
+          txn_instant obs ~offset:!offset ~name:"txn.begin" [ (noun, what) ];
           let staged =
-            match validate_valuation graph valuation with
+            match validate item with
             | Error reason -> St_aborted reason
             | Ok () ->
                 staged_iteration obs ~run:(fun () ->
-                    reconfigure_instant obs ~offset:!offset ~what:"valuation"
-                      what;
-                    let eng =
-                      Engine.create ~graph ~valuation ~behaviors
-                        ~obs:(Obs.shift obs !offset) ~default ()
-                    in
-                    let targets =
-                      match targets with
-                      | None -> None
-                      | Some f -> Some (f valuation)
-                    in
-                    (Engine.run_outcome ?backend ?targets eng, eng))
+                    iteration item ~run:(fun ?targets eng ->
+                        (Engine.run_outcome ?backend ~iterations ?targets eng,
+                         eng)))
           in
           match staged with
           | St_committed stats ->
-              offset := !offset +. stats.Engine.end_ms;
+              let it = finish item stats in
               txn_instant obs ~offset:!offset ~name:"txn.commit"
-                [ ("valuation", what) ];
-              committed := Some valuation;
-              { valuation; stats }
+                [ (noun, what) ];
+              committed := Some item;
+              it
           | St_aborted reason -> (
               aborts := record_abort obs ~offset ~index ~what reason :: !aborts;
               match !committed with
@@ -190,19 +177,31 @@ let run_sequence ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
               | None ->
                   failwith
                     (Printf.sprintf
-                       "Reconfigure.run_sequence: initial valuation rejected \
-                        (%s) and no previous valuation to roll back to"
-                       reason))
+                       "Reconfigure.%s: initial %s rejected (%s) and no \
+                        previous %s to roll back to"
+                       fn noun reason noun))
         end)
-      valuations
+      items
   in
   {
-    iterations;
+    iterations = runs;
     total_end_ms =
-      List.fold_left (fun acc it -> acc +. it.stats.Engine.end_ms) 0.0 iterations;
-    max_occupancy = merge_occupancy iterations;
+      List.fold_left (fun acc it -> acc +. it.stats.Engine.end_ms) 0.0 runs;
+    max_occupancy = merge_occupancy runs;
     aborts = List.rev !aborts;
   }
+
+let run_sequence ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
+    ?targets ?(txn = false) ~default valuations =
+  if valuations = [] then
+    invalid_arg "Reconfigure.run_sequence: empty valuation sequence";
+  sequence obs ~fn:"run_sequence" ~noun:"valuation"
+    ~describe:(Format.asprintf "%a" Tpdf_param.Valuation.pp)
+    ~validate:(validate_valuation graph) ~valuation_of:Fun.id
+    ~start:(fun valuation obs ->
+      let eng = Engine.create ~graph ~valuation ~behaviors ~obs ~default () in
+      (eng, Option.map (fun f -> f valuation) targets))
+    ?backend ~iterations:1 ~txn valuations
 
 (* ------------------------------------------------------------------ *)
 (* Mode-scenario sweeps                                                *)
@@ -336,91 +335,28 @@ let run_scenarios ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
   if scenarios = [] then
     invalid_arg "Reconfigure.run_scenarios: empty scenario sequence";
   if not txn then List.iter (validate_scenario graph) scenarios;
-  let offset = ref 0.0 in
-  let aborts = ref [] in
-  let committed = ref None in
-  let plain scenario =
-    reconfigure_instant obs ~offset:!offset ~what:"scenario"
-      (pp_scenario scenario);
-    let ctrl_behaviors =
-      List.filter_map
-        (fun a ->
-          if List.mem_assoc a behaviors then None
-          else if Tpdf.Graph.clock_period_ms graph a <> None then None
-          else Some (a, scenario_control_behavior graph scenario))
-        (Tpdf.Graph.control_actors graph)
-    in
-    let targets = List.map (fun a -> (a, 0)) (starved_actors graph scenario) in
-    let eng =
-      Engine.create ~graph ~valuation
-        ~behaviors:(behaviors @ ctrl_behaviors)
-        ~obs:(Obs.shift obs !offset) ~default ()
-    in
-    let stats = Engine.run ?backend ~iterations ~targets eng in
-    offset := !offset +. stats.Engine.end_ms;
-    { valuation; stats }
-  in
-  let runs =
-    List.mapi
-      (fun index scenario ->
-        if not txn then plain scenario
-        else begin
-          let what = pp_scenario scenario in
-          txn_instant obs ~offset:!offset ~name:"txn.begin"
-            [ ("scenario", what) ];
-          let staged =
-            match validate_scenario graph scenario with
-            | exception Invalid_argument reason -> St_aborted reason
-            | () ->
-                staged_iteration obs ~run:(fun () ->
-                    reconfigure_instant obs ~offset:!offset ~what:"scenario"
-                      what;
-                    let ctrl_behaviors =
-                      List.filter_map
-                        (fun a ->
-                          if List.mem_assoc a behaviors then None
-                          else if Tpdf.Graph.clock_period_ms graph a <> None
-                          then None
-                          else
-                            Some (a, scenario_control_behavior graph scenario))
-                        (Tpdf.Graph.control_actors graph)
-                    in
-                    let targets =
-                      List.map
-                        (fun a -> (a, 0))
-                        (starved_actors graph scenario)
-                    in
-                    let eng =
-                      Engine.create ~graph ~valuation
-                        ~behaviors:(behaviors @ ctrl_behaviors)
-                        ~obs:(Obs.shift obs !offset) ~default ()
-                    in
-                    (Engine.run_outcome ?backend ~iterations ~targets eng, eng))
-          in
-          match staged with
-          | St_committed stats ->
-              offset := !offset +. stats.Engine.end_ms;
-              txn_instant obs ~offset:!offset ~name:"txn.commit"
-                [ ("scenario", what) ];
-              committed := Some scenario;
-              { valuation; stats }
-          | St_aborted reason -> (
-              aborts := record_abort obs ~offset ~index ~what reason :: !aborts;
-              match !committed with
-              | Some prev -> plain prev
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "Reconfigure.run_scenarios: initial scenario rejected \
-                        (%s) and no previous scenario to roll back to"
-                       reason))
-        end)
-      scenarios
-  in
-  {
-    iterations = runs;
-    total_end_ms =
-      List.fold_left (fun acc it -> acc +. it.stats.Engine.end_ms) 0.0 runs;
-    max_occupancy = merge_occupancy runs;
-    aborts = List.rev !aborts;
-  }
+  sequence obs ~fn:"run_scenarios" ~noun:"scenario" ~describe:pp_scenario
+    ~validate:(fun scenario ->
+      match validate_scenario graph scenario with
+      | () -> Ok ()
+      | exception Invalid_argument reason -> Error reason)
+    ~valuation_of:(fun _ -> valuation)
+    ~start:(fun scenario obs ->
+      let ctrl_behaviors =
+        List.filter_map
+          (fun a ->
+            if List.mem_assoc a behaviors then None
+            else if Tpdf.Graph.clock_period_ms graph a <> None then None
+            else Some (a, scenario_control_behavior graph scenario))
+          (Tpdf.Graph.control_actors graph)
+      in
+      let targets =
+        List.map (fun a -> (a, 0)) (starved_actors graph scenario)
+      in
+      let eng =
+        Engine.create ~graph ~valuation
+          ~behaviors:(behaviors @ ctrl_behaviors)
+          ~obs ~default ()
+      in
+      (eng, Some targets))
+    ?backend ~iterations ~txn scenarios

@@ -48,5 +48,4 @@ type t = {
   actors : actor_state list;  (* in dense-actor-id order *)
   channels : channel_state list;  (* in skeleton channel order *)
   heap : heap_entry list;  (* in (time, seq) order *)
-  trace : firing list;  (* completion order, oldest first *)
 }

@@ -4,16 +4,19 @@
     every pending event-heap entry with its [(time, seq)] key (and the
     heap's insertion counter, so FIFO ties against future events are
     preserved), per-channel token queues and drop/occupancy statistics,
-    per-actor firing indices and last-read control modes, and the
-    accumulated trace.  [Engine.snapshot]/[Engine.restore] convert
-    to/from a live engine; [Tpdf_ckpt] serializes this type to the
-    versioned, checksummed on-disk checkpoint format.
+    and per-actor firing indices and last-read control modes.  It
+    holds live state only — no firing history — so its size does not
+    grow with the age of the run; the [tpdf_obs] stream is the trace.
+    [Engine.snapshot]/[Engine.restore] convert to/from a live engine;
+    [Tpdf_ckpt] serializes this type to the versioned, checksummed
+    on-disk checkpoint format.
 
     Token payloads are pre-encoded to strings (the caller supplies the
     codec), so the type is monomorphic. *)
 
 type token = Data of string | Ctrl of string
 
+(** The record of an in-flight firing (see {!Engine.firing_record}). *)
 type firing = {
   f_actor : string;
   f_index : int;
@@ -58,5 +61,4 @@ type t = {
   actors : actor_state list;  (** in dense-actor-id order *)
   channels : channel_state list;  (** in skeleton channel order *)
   heap : heap_entry list;  (** in [(time, seq)] order *)
-  trace : firing list;  (** completion order, oldest first *)
 }

@@ -1,8 +1,8 @@
 module Ev = Tpdf_obs.Event
 
-(* Both renderers run over firing records; they can be fed either by the
-   legacy [Engine.stats.trace] list or by the observability event stream
-   (the ["firing"] spans and ["clock"] tick instants the engine emits). *)
+(* Both renderers run over firing records, rebuilt from the
+   observability event stream: the ["firing"] spans and ["clock"] tick
+   instants the engine emits.  The engine keeps no trace of its own. *)
 
 let actors_in_order records =
   let seen = Hashtbl.create 8 in
@@ -57,11 +57,6 @@ let csv_of_records records =
     records;
   Buffer.contents buf
 
-let gantt ?width (stats : Engine.stats) =
-  gantt_of_records ?width stats.Engine.trace
-
-let to_csv (stats : Engine.stats) = csv_of_records stats.Engine.trace
-
 (* ------------------------------------------------------------------ *)
 (* Event-stream front end                                              *)
 (* ------------------------------------------------------------------ *)
@@ -100,9 +95,9 @@ let records_of_events events =
         | _ -> None)
       events
   in
-  (* Same presentation order as [Engine.stats.trace]: the engine emits
-     firing events in completion order, and the stable sort below matches
-     the one [Engine.run] applies. *)
+  (* Presentation order: start time, then finish time.  The engine emits
+     firing events in completion order; the sort is stable, so firings
+     that start and finish together keep that order. *)
   List.stable_sort
     (fun (a : Engine.firing_record) (b : Engine.firing_record) ->
       compare (a.Engine.start_ms, a.Engine.finish_ms)

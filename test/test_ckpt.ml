@@ -135,6 +135,58 @@ let test_torn_torture () =
     | Ok _ -> Alcotest.fail (Printf.sprintf "byte %d flipped but accepted" i)
   done
 
+(* A checkpoint written by another format version verifies but is
+   refused, naming its version: it is never mistaken for this format,
+   and (below) never for a torn file either. *)
+let test_foreign_version_refused () =
+  let v1 = Ckpt_v1.of_image (Ckpt.to_string (mid_run_ckpt ())) in
+  Alcotest.(check bool) "a version-1 header" true
+    (String.starts_with ~prefix:"tpdf-ckpt 1\n" v1);
+  match Ckpt.of_string v1 with
+  | Ok _ -> Alcotest.fail "a tpdf-ckpt 1 image was accepted"
+  | Error m ->
+      Alcotest.(check bool) ("names the version: " ^ m) true
+        (contains m "tpdf-ckpt 1")
+
+(* Checkpoint images hold live state only, so their size follows the
+   graph, not the age of the run: a 100-actor chain's boundary image
+   after 1000 iterations is within 10% of its size after 10 (only the
+   counters' digits grow). *)
+let test_image_size_bounded () =
+  let n = 100 in
+  let one = Tpdf_csdf.Graph.const_rates [ 1 ] in
+  let g = Graph.create () in
+  for i = 0 to n - 1 do
+    Graph.add_kernel g (Printf.sprintf "a%d" i)
+  done;
+  for i = 0 to n - 2 do
+    ignore
+      (Graph.add_channel g
+         ~src:(Printf.sprintf "a%d" i)
+         ~dst:(Printf.sprintf "a%d" (i + 1))
+         ~prod:one ~cons:one ())
+  done;
+  let eng = Engine.create ~graph:g ~valuation:Valuation.empty ~default:0 () in
+  let image_after iterations =
+    (match Engine.run_outcome ~iterations eng with
+    | Engine.Completed _ -> ()
+    | _ -> Alcotest.fail "the chain must complete");
+    String.length
+      (Ckpt.to_string
+         {
+           Ckpt.kind = "run";
+           meta = [];
+           graph_src = Serial.to_string g;
+           valuation = [];
+           snapshot = Some (Engine.snapshot ~encode:string_of_int eng);
+         })
+  in
+  let young = image_after 10 in
+  let old = image_after 1000 in
+  if float_of_int old > 1.1 *. float_of_int young then
+    Alcotest.failf "image grew with age: %d bytes after 10 iterations, %d after 1000"
+      young old
+
 (* ------------------------------------------------------------------ *)
 (* Store: numbered files, latest-valid fallback                        *)
 (* ------------------------------------------------------------------ *)
@@ -169,7 +221,7 @@ let test_store () =
   close_out oc;
   Alcotest.(check (list int)) "seqs" [ 1; 2; 3 ] (Ckpt.Store.seqs st);
   (match Ckpt.Store.latest st with
-  | Some (3, _, c3) ->
+  | Ok (Some (3, _, c3)) ->
       Alcotest.(check (option string)) "latest is 3" (Some "3")
         (Ckpt.meta c3 "seq")
   | _ -> Alcotest.fail "latest should be seq 3");
@@ -179,17 +231,33 @@ let test_store () =
   output_string oc (String.sub truncated 0 (String.length truncated / 2));
   close_out oc;
   (match Ckpt.Store.latest st with
-  | Some (2, _, c2) ->
+  | Ok (Some (2, _, c2)) ->
       Alcotest.(check (option string)) "fell back to 2" (Some "2")
         (Ckpt.meta c2 "seq")
   | _ -> Alcotest.fail "latest should fall back to seq 2");
   (* overwriting a seq is atomic and wins *)
   ignore (Ckpt.Store.save st ~seq:2 (at 22));
-  match Ckpt.Store.latest st with
-  | Some (2, _, c2) ->
+  (match Ckpt.Store.latest st with
+  | Ok (Some (2, _, c2)) ->
       Alcotest.(check (option string)) "overwritten" (Some "22")
         (Ckpt.meta c2 "seq")
-  | _ -> Alcotest.fail "latest should still be seq 2"
+  | _ -> Alcotest.fail "latest should still be seq 2");
+  (* a newer file from another format version is not torn: no fallback
+     past it to seq 2, an error naming the file and its version *)
+  let p4 = Ckpt.Store.path st 4 in
+  Out_channel.with_open_bin p4 (fun oc ->
+      Out_channel.output_string oc
+        (Ckpt_v1.of_image (Ckpt.to_string (at 4))));
+  (match Ckpt.Store.latest st with
+  | Error m ->
+      Alcotest.(check bool) ("names file and version: " ^ m) true
+        (contains m p4 && contains m "tpdf-ckpt 1")
+  | Ok _ -> Alcotest.fail "latest fell back past a foreign-version file");
+  match Ckpt.read p4 with
+  | Error m ->
+      Alcotest.(check bool) ("read names the version: " ^ m) true
+        (contains m "tpdf-ckpt 1")
+  | Ok _ -> Alcotest.fail "Ckpt.read accepted a tpdf-ckpt 1 file"
 
 (* ------------------------------------------------------------------ *)
 (* Event heap snapshot round-trip (qcheck)                             *)
@@ -602,9 +670,27 @@ let test_txn_sequence_abort () =
   let g = fig2_graph () in
   let v n = Valuation.of_list [ ("p", n) ] in
   let obs = Obs.create () in
+  let log = Firing_log.create () in
   let report =
-    Sim.Reconfigure.run_sequence ~graph:g ~obs ~txn:true ~default:0
+    Sim.Reconfigure.run_sequence ~graph:g ~obs
+      ~behaviors:(Firing_log.wrap_kernels log g ~default:0 [])
+      ~txn:true ~default:0
       [ v 2; Valuation.empty; v 3 ]
+  in
+  (* the kernels' firing log, cut into one slice per iteration *)
+  let slices =
+    let rec cut entries = function
+      | [] -> []
+      | (it : Sim.Reconfigure.iteration_stats) :: rest ->
+          let n =
+            List.fold_left
+              (fun acc (a, k) -> if Graph.is_control g a then acc else acc + k)
+              0 it.Sim.Reconfigure.stats.Engine.firings
+          in
+          List.filteri (fun i _ -> i < n) entries
+          :: cut (List.filteri (fun i _ -> i >= n) entries) rest
+    in
+    cut (Firing_log.entries log) report.Sim.Reconfigure.iterations
   in
   Alcotest.(check int) "three iterations" 3
     (List.length report.Sim.Reconfigure.iterations);
@@ -623,6 +709,11 @@ let test_txn_sequence_abort () =
         (it1.Sim.Reconfigure.valuation = v 2);
       Alcotest.(check bool) "rollback stats = committed stats" true
         (it1.Sim.Reconfigure.stats = it0.Sim.Reconfigure.stats);
+      (match slices with
+      | [ l0; l1; _ ] ->
+          Alcotest.(check bool) "rollback firings = committed firings" true
+            (l0 <> [] && l1 = l0)
+      | _ -> Alcotest.fail "expected three firing-log slices");
       Alcotest.(check bool) "third valuation committed" true
         (it2.Sim.Reconfigure.valuation = v 3)
   | _ -> Alcotest.fail "expected three iterations");
@@ -963,6 +1054,10 @@ let () =
             test_codec_rejects_bad_atoms;
           Alcotest.test_case "fnv1a64 vectors" `Quick test_fnv_vector;
           Alcotest.test_case "torn-write torture" `Quick test_torn_torture;
+          Alcotest.test_case "foreign version refused" `Quick
+            test_foreign_version_refused;
+          Alcotest.test_case "image size independent of age" `Quick
+            test_image_size_bounded;
         ] );
       ("store", [ Alcotest.test_case "latest-valid fallback" `Quick test_store ]);
       ("heap", [ QCheck_alcotest.to_alcotest prop_heap_roundtrip ]);

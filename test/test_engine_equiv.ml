@@ -2,10 +2,13 @@
    [Reference_engine], a byte-for-byte snapshot of the seed engine.  The
    optimized engine must be observationally identical: same outcome
    constructor, same stats (firings, occupancy, drops, end time), the same
-   trace record-for-record, and the same tpdf_obs event stream — for every
-   shipped graph under every mode scenario, and for a seeded chaos run
-   through the fault supervisor.  Also property-tests the binary event
-   heap against a reference sorted list. *)
+   trace record-for-record — the reference engine's own trace against the
+   one [Trace.records_of_events] rebuilds from the optimized engine's obs
+   stream — and the same tpdf_obs event stream, for every shipped graph
+   under every mode scenario, and for a seeded chaos run through the
+   fault supervisor.  Runs without a collector are witnessed by a
+   [Firing_log] of their behaviours instead.  Also property-tests the
+   binary event heap against a reference sorted list. *)
 
 module Csdf = Tpdf_csdf
 module Graph = Tpdf_core.Graph
@@ -124,33 +127,34 @@ let tup_ref (r : Reference_engine.firing_record) =
     r.Reference_engine.finish_ms )
 
 let stats_new (s : Engine.stats) =
-  ( s.Engine.end_ms,
-    s.Engine.firings,
-    s.Engine.max_occupancy,
-    s.Engine.dropped,
-    List.map tup_new s.Engine.trace )
+  (s.Engine.end_ms, s.Engine.firings, s.Engine.max_occupancy, s.Engine.dropped)
 
 let stats_ref (s : Reference_engine.stats) =
   ( s.Reference_engine.end_ms,
     s.Reference_engine.firings,
     s.Reference_engine.max_occupancy,
-    s.Reference_engine.dropped,
-    List.map tup_ref s.Reference_engine.trace )
+    s.Reference_engine.dropped )
+
+type canonical_stats =
+  float * (string * int) list * (int * int) list * (int * int) list
 
 type canonical =
-  | C_completed of
-      (float * (string * int) list * (int * int) list * (int * int) list
-      * (string * int * int * string * float * float) list)
+  | C_completed of canonical_stats
   | C_stalled of
-      (float * (string * int * int) list * (int * int) list)
-      * (float * (string * int) list * (int * int) list * (int * int) list
-        * (string * int * int * string * float * float) list)
-  | C_budget of
-      int
-      * float
-      * (float * (string * int) list * (int * int) list * (int * int) list
-        * (string * int * int * string * float * float) list)
+      (float * (string * int * int) list * (int * int) list) * canonical_stats
+  | C_budget of int * float * canonical_stats
   | C_error of string
+
+(* The reference engine's trace, from whichever stats its outcome
+   carries. *)
+let trace_ref = function
+  | Reference_engine.Completed s
+  | Reference_engine.Stalled (_, s)
+  | Reference_engine.Budget_exceeded { partial = s; _ } ->
+      List.map tup_ref s.Reference_engine.trace
+
+(* The optimized engine's trace: rebuilt from its obs stream. *)
+let trace_new events = List.map tup_new (Sim.Trace.records_of_events events)
 
 let canon_new = function
   | Engine.Completed s -> C_completed (stats_new s)
@@ -173,11 +177,10 @@ let canon_ref = function
       C_budget (steps, at_ms, stats_ref partial)
 
 let describe = function
-  | C_completed (e, f, _, _, tr) ->
-      Printf.sprintf "Completed end=%.3f firings=%s trace=%d" e
+  | C_completed (e, f, _, _) ->
+      Printf.sprintf "Completed end=%.3f firings=%s" e
         (String.concat ","
            (List.map (fun (a, n) -> Printf.sprintf "%s:%d" a n) f))
-        (List.length tr)
   | C_stalled ((at, blocked, _), _) ->
       Printf.sprintf "Stalled at=%.3f blocked=%s" at
         (String.concat ","
@@ -241,6 +244,7 @@ let check_file file () =
                 Engine.run_outcome ~iterations ~targets ~max_events e)
               ~canon:canon_new g v scenario
           in
+          let tr_ref = ref None in
           let o_ref, ev_ref =
             run_one_engine
               ~create:(fun ~graph ~valuation ~behaviors ~obs ~default () ->
@@ -248,12 +252,25 @@ let check_file file () =
                   ~default ())
               ~run_outcome:(fun ~iterations ~targets ~max_events e ->
                 Reference_engine.run_outcome ~iterations ~targets ~max_events e)
-              ~canon:canon_ref g v scenario
+              ~canon:(fun o ->
+                tr_ref := Some (trace_ref o);
+                canon_ref o)
+              g v scenario
           in
           if o_new <> o_ref then
             Alcotest.fail
               (Printf.sprintf "%s: outcome diverged\n  new: %s\n  ref: %s"
                  label (describe o_new) (describe o_ref));
+          (match !tr_ref with
+          | Some tr when trace_new ev_new <> tr ->
+              Alcotest.fail
+                (Printf.sprintf
+                   "%s: trace diverged (%d records from the obs stream, %d \
+                    in the reference trace)"
+                   label
+                   (List.length (trace_new ev_new))
+                   (List.length tr))
+          | _ -> ());
           Alcotest.(check int)
             (label ^ " obs event count")
             (List.length ev_ref) (List.length ev_new);
@@ -509,8 +526,9 @@ let check_file_compiled file () =
 (* With observability disabled the compiled backend takes its fused
    static fast path (wake-list walk, hand-inlined fire/complete), which
    the obs-enabled variant above never reaches.  Pin the full outcome —
-   stats record, trace included — along that path too, for every graph
-   under every scenario. *)
+   stats record, and the firing log of every kernel and control actor as
+   the trace — along that path too, for every graph under every
+   scenario. *)
 let check_file_compiled_noobs file () =
   let path = Filename.concat graphs_dir file in
   match Serial.load path with
@@ -525,11 +543,13 @@ let check_file_compiled_noobs file () =
           in
           let run backend =
             let ctrl = Sim.Reconfigure.scenario_control_behavior g scenario in
+            let log = Firing_log.create () in
             let behaviors =
-              List.filter_map
-                (fun a ->
-                  if Graph.is_control g a then Some (a, ctrl) else None)
-                (Graph.actors g)
+              Firing_log.wrap_kernels log g ~default:0
+                (List.filter_map
+                   (fun a ->
+                     if Graph.is_control g a then Some (a, ctrl) else None)
+                   (Graph.actors g))
             in
             let targets =
               List.map
@@ -543,24 +563,29 @@ let check_file_compiled_noobs file () =
                   Engine.run_outcome ~backend ~iterations:2 ~targets
                     ~max_events:20_000 e
                 with
-                | o -> canon_new o
+                | o -> (canon_new o, Firing_log.entries log)
                 | exception Engine.Error err ->
-                    C_error (Engine.error_message err)
-                | exception Failure m -> C_error ("failure: " ^ m))
-            | exception Invalid_argument m -> C_error ("invalid: " ^ m)
+                    (C_error (Engine.error_message err), Firing_log.entries log)
+                | exception Failure m ->
+                    (C_error ("failure: " ^ m), Firing_log.entries log))
+            | exception Invalid_argument m -> (C_error ("invalid: " ^ m), [])
           in
-          let o_evt = run `Event in
-          let o_cmp = run `Compiled in
+          let o_evt, log_evt = run `Event in
+          let o_cmp, log_cmp = run `Compiled in
           if o_cmp <> o_evt then
             Alcotest.fail
               (Printf.sprintf "%s: outcome diverged\n  compiled: %s\n  event: %s"
-                 label (describe o_cmp) (describe o_evt)))
+                 label (describe o_cmp) (describe o_evt));
+          if log_cmp <> log_evt then
+            Alcotest.fail
+              (Printf.sprintf "%s: firing logs diverged (%d vs %d firings)"
+                 label (List.length log_cmp) (List.length log_evt)))
         scenarios
 
 (* A chain with uniform durations: the backend must actually engage
    (visible through the engine.backend gauges), and the snapshot taken
    after the run — including the heap's seq counter — must equal the
-   event engine's image bit for bit. *)
+   event engine's image bit for bit, after the same firings. *)
 let chain_graph n =
   let one = Csdf.Graph.const_rates [ 1 ] in
   let g = Graph.create () in
@@ -594,14 +619,22 @@ let test_compiled_engages () =
 let test_compiled_snapshot_identical () =
   let image backend =
     let g = chain_graph 5 in
-    let e = Engine.create ~graph:g ~valuation:Valuation.empty ~default:0 () in
+    let log = Firing_log.create () in
+    let behaviors = Firing_log.wrap_kernels log g ~default:0 [] in
+    let e =
+      Engine.create ~graph:g ~valuation:Valuation.empty ~behaviors ~default:0 ()
+    in
     (match Engine.run_outcome ~backend ~iterations:3 e with
     | Engine.Completed _ -> ()
     | o -> Alcotest.fail ("chain did not complete: " ^ describe (canon_new o)));
-    Engine.snapshot ~encode:string_of_int e
+    (Engine.snapshot ~encode:string_of_int e, Firing_log.entries log)
   in
-  if image `Compiled <> image `Event then
-    Alcotest.fail "snapshot images diverged between backends"
+  let img_cmp, log_cmp = image `Compiled and img_evt, log_evt = image `Event in
+  if img_cmp <> img_evt then
+    Alcotest.fail "snapshot images diverged between backends";
+  Alcotest.(check int) "every firing logged" 15 (List.length log_cmp);
+  if log_cmp <> log_evt then
+    Alcotest.fail "firing logs diverged between backends"
 
 (* Snapshot under one backend, restore, continue under the other: the
    restored engine carries pending events, so `Compiled declines and the
@@ -609,7 +642,11 @@ let test_compiled_snapshot_identical () =
 let test_compiled_restore_roundtrip () =
   let g = chain_graph 4 in
   let continue_with backend =
-    let e = Engine.create ~graph:g ~valuation:Valuation.empty ~default:0 () in
+    let log = Firing_log.create () in
+    let behaviors = Firing_log.wrap_kernels log g ~default:0 [] in
+    let e =
+      Engine.create ~graph:g ~valuation:Valuation.empty ~behaviors ~default:0 ()
+    in
     (match Engine.run_outcome ~backend:`Compiled ~iterations:3 ~until_ms:1.5 e with
     | Engine.Stalled _ -> ()
     | o -> Alcotest.fail ("expected a capped stall: " ^ describe (canon_new o)));
@@ -617,19 +654,23 @@ let test_compiled_restore_roundtrip () =
     let e' =
       Engine.restore
         (Engine.compile ~graph:g ~valuation:Valuation.empty)
-        ~default:0 ~decode:int_of_string snap
+        ~behaviors ~default:0 ~decode:int_of_string snap
     in
-    canon_new (Engine.run_outcome ~backend ~iterations:3 e')
+    let o = canon_new (Engine.run_outcome ~backend ~iterations:3 e') in
+    (o, Firing_log.entries log)
   in
-  let c = continue_with `Compiled and v = continue_with `Event in
+  let ((c, log_c) as cmp) = continue_with `Compiled
+  and evt = continue_with `Event in
+  Alcotest.(check int) "every firing logged once" 12 (List.length log_c);
   (match c with
-  | C_completed (_, firings, _, _, _) ->
+  | C_completed (_, firings, _, _) ->
       Alcotest.(check (list (pair string int)))
         "restored run completed all firings"
         [ ("a0", 3); ("a1", 3); ("a2", 3); ("a3", 3) ]
         firings
   | o -> Alcotest.fail ("restored run did not complete: " ^ describe o));
-  if c <> v then Alcotest.fail "restored continuations diverged across backends"
+  if cmp <> evt then
+    Alcotest.fail "restored continuations diverged across backends"
 
 (* Non-uniform durations: the backend engages, then the uniformity guard
    trips mid-run and hands the pending rounds back to the heap.  The

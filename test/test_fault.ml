@@ -382,13 +382,16 @@ let fault_sets g =
   ]
 
 (* What one driving of a supervised run observed: the boundary
-   checkpoints (as persisted), the per-iteration stats and the summary
-   ([None] where the driver cannot see one). *)
+   checkpoints (as persisted), the per-iteration stats, the summary
+   ([None] where the driver cannot see one) and the firing log of every
+   kernel — the trace of a run without a collector ([[]] where the
+   driver logs none). *)
 type observed = {
   metas : (string * string) list list;
   stats : Sim.Engine.stats list;
   unrecovered : string option;
   summary : Supervisor.summary option;
+  log : Firing_log.entry list;
 }
 
 (* The summary a completed session's last boundary checkpoint implies. *)
@@ -420,11 +423,13 @@ let check_session_equivalence file () =
       (Graph.parameters g)
   in
   let k = 4 and seed = 7 in
+  let firings = ref 0 in
   List.iter
     (fun (name, specs, policy) ->
       let label what = Printf.sprintf "%s/%s: %s" file name what in
-      let stepped =
-        let s = Chaos.session ~graph:g ~seed ~specs ~policy ~valuation () in
+      (* Steps [s] [k] times, or until it gives up; [log] reads the
+         firing log the session's behaviours wrote, if any. *)
+      let drive s log =
         let rec go i metas stats last =
           if i = k then
             let stats = List.rev stats in
@@ -433,6 +438,7 @@ let check_session_equivalence file () =
               stats;
               unrecovered = None;
               summary = Option.map (fun ck -> summary_of_ck ck stats) last;
+              log = log ();
             }
           else
             match Supervisor.step s with
@@ -446,15 +452,35 @@ let check_session_equivalence file () =
                   stats = List.rev (Option.to_list partial @ stats);
                   unrecovered = Some why;
                   summary = None;
+                  log = log ();
                 }
             | Supervisor.Killed _ -> Alcotest.fail (label "killed")
         in
         go 0 [] [] None
       in
+      let stepped =
+        drive
+          (Chaos.session ~graph:g ~seed ~specs ~policy ~valuation ())
+          (fun () -> [])
+      in
+      (* [Chaos.session]'s session with the kernels' behaviours logged:
+         the same run, now with a witness of what fired when *)
+      let logged =
+        let log = Firing_log.create () in
+        drive
+          (Supervisor.session ~graph:g ~plan:(Plan.make ~seed specs) ~policy
+             ~scenario:(Chaos.default_scenario g)
+             ~behaviors:(Firing_log.wrap_kernels log g ~default:0 [])
+             ~encode:string_of_int ~decode:int_of_string ~valuation ~default:0
+             ())
+          (fun () -> Firing_log.entries log)
+      in
       let whole =
         let metas = ref [] in
+        let log = Firing_log.create () in
         let s =
           Chaos.run ~graph:g ~seed ~specs ~policy ~iterations:k
+            ~behaviors:(Firing_log.wrap_kernels log g ~default:0 [])
             ~checkpoint_every:1
             ~on_checkpoint:(fun ck ->
               metas := Supervisor.checkpoint_meta ck :: !metas)
@@ -465,13 +491,17 @@ let check_session_equivalence file () =
           stats = s.Supervisor.per_iteration;
           unrecovered = s.Supervisor.unrecovered;
           summary = Some s;
+          log = Firing_log.entries log;
         }
       in
       let resumed =
+        (* one log across the resumed runs: their firings concatenate *)
+        let log = Firing_log.create () in
         let rec go i resume metas stats =
           let last = ref None in
           let s =
             Chaos.run ~graph:g ~seed ~specs ~policy ~iterations:(i + 1)
+              ~behaviors:(Firing_log.wrap_kernels log g ~default:0 [])
               ~checkpoint_every:1
               ~on_checkpoint:(fun ck -> last := Some ck)
               ?resume ~valuation ()
@@ -489,6 +519,7 @@ let check_session_equivalence file () =
               stats;
               unrecovered = s.Supervisor.unrecovered;
               summary = Some { s with Supervisor.per_iteration = stats };
+              log = Firing_log.entries log;
             }
           else go (i + 1) !last metas stats
         in
@@ -506,10 +537,21 @@ let check_session_equivalence file () =
           | Some a, Some b when a <> b ->
               Alcotest.fail (label ("summary differs from " ^ what))
           | _ -> ())
-        [ ("Supervisor.run", whole); ("resumed Chaos.run", resumed) ];
+        [
+          ("Supervisor.run", whole);
+          ("resumed Chaos.run", resumed);
+          ("logged session", logged);
+        ];
       if whole.summary <> resumed.summary then
-        Alcotest.fail (label "resumed summary differs from Supervisor.run"))
-    (fault_sets g)
+        Alcotest.fail (label "resumed summary differs from Supervisor.run");
+      List.iter
+        (fun (what, other) ->
+          if logged.log <> other.log then
+            Alcotest.fail (label ("firing logs differ from " ^ what)))
+        [ ("Supervisor.run", whole); ("resumed Chaos.run", resumed) ];
+      firings := !firings + List.length logged.log)
+    (fault_sets g);
+  Alcotest.(check bool) (file ^ ": firings logged") true (!firings > 0)
 
 (* Over all shipped graphs, each fault set reaches the mechanism it is
    there for — otherwise the equivalence above proves less than it

@@ -147,10 +147,13 @@ let member k = function
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig2_run ?obs ~iterations () =
+let fig2_run ?obs ?log ~iterations () =
   let { Examples.graph = g; _ } = Examples.fig2 () in
   let v = Valuation.of_list [ ("p", 2) ] in
-  let eng = Engine.create ~graph:g ~valuation:v ?obs ~default:0 () in
+  let behaviors =
+    Option.map (fun log -> Firing_log.wrap_kernels log g ~default:0 []) log
+  in
+  let eng = Engine.create ~graph:g ~valuation:v ?obs ?behaviors ~default:0 () in
   Engine.run ~iterations eng
 
 (* ------------------------------------------------------------------ *)
@@ -262,14 +265,17 @@ let test_sinks_and_shift () =
 (* ------------------------------------------------------------------ *)
 
 let test_no_sink_same_stats () =
-  let plain = fig2_run ~iterations:2 () in
+  let log_plain = Firing_log.create () and log_traced = Firing_log.create () in
+  let plain = fig2_run ~log:log_plain ~iterations:2 () in
   let obs = Obs.create () in
-  let traced = fig2_run ~obs ~iterations:2 () in
+  let traced = fig2_run ~obs ~log:log_traced ~iterations:2 () in
   Alcotest.(check (list (pair string int))) "same firing counts"
     plain.Engine.firings traced.Engine.firings;
   Alcotest.(check (float 1e-9)) "same end time" plain.Engine.end_ms
     traced.Engine.end_ms;
-  Alcotest.(check string) "same gantt" (Trace.gantt plain) (Trace.gantt traced)
+  Alcotest.(check bool) "same firings, same instants" true
+    (Firing_log.entries log_plain <> []
+    && Firing_log.entries log_plain = Firing_log.entries log_traced)
 
 let test_determinism () =
   let virtual_events obs =
@@ -284,13 +290,36 @@ let test_determinism () =
   Alcotest.(check bool) "identical virtual-time traces" true (e1 = e2);
   Alcotest.(check bool) "trace is non-trivial" true (List.length e1 > 10)
 
+(* The trace rebuilt from the obs stream renders byte for byte like the
+   reference engine's own trace of the same run. *)
 let test_trace_golden () =
   let obs = Obs.create () in
-  let stats = fig2_run ~obs ~iterations:2 () in
+  ignore (fig2_run ~obs ~iterations:2 ());
   let events = Obs.events obs in
-  Alcotest.(check string) "csv byte-identical" (Trace.to_csv stats)
+  let reference =
+    let { Examples.graph = g; _ } = Examples.fig2 () in
+    let v = Valuation.of_list [ ("p", 2) ] in
+    let stats =
+      Reference_engine.run ~iterations:2
+        (Reference_engine.create ~graph:g ~valuation:v ~default:0 ())
+    in
+    List.map
+      (fun (r : Reference_engine.firing_record) ->
+        {
+          Engine.actor = r.Reference_engine.actor;
+          index = r.Reference_engine.index;
+          phase = r.Reference_engine.phase;
+          mode = r.Reference_engine.mode;
+          start_ms = r.Reference_engine.start_ms;
+          finish_ms = r.Reference_engine.finish_ms;
+        })
+      stats.Reference_engine.trace
+  in
+  Alcotest.(check bool) "non-trivial trace" true (List.length reference > 10);
+  Alcotest.(check string) "csv byte-identical" (Trace.csv_of_records reference)
     (Trace.csv_of_events events);
-  Alcotest.(check string) "gantt byte-identical" (Trace.gantt stats)
+  Alcotest.(check string) "gantt byte-identical"
+    (Trace.gantt_of_records reference)
     (Trace.gantt_of_events events)
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
 open Tpdf_param
 open Tpdf_util
+module Legacy = Tpdf_param_legacy.Legacy
 
 let poly = Alcotest.testable Poly.pp Poly.equal
 let frac = Alcotest.testable Frac.pp Frac.equal

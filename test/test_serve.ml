@@ -666,6 +666,92 @@ let test_metrics_and_checkpoint () =
     (is_ok (rpc d [ ("id", J.String "z"); ("op", J.String "shutdown") ]));
   Alcotest.(check bool) "stopping" true (D.stopping d)
 
+(* A tenant's series live exactly as long as the tenant: once removed
+   (or migrated away, which removes it the same way) the next exposition
+   no longer names it, while the survivors' series stay. *)
+let test_metrics_forget_removed () =
+  let d = daemon () in
+  let metrics () =
+    match field (rpc d [ ("id", J.String "m"); ("op", J.String "metrics") ])
+            "openmetrics"
+    with
+    | Some (J.String s) -> s
+    | _ -> Alcotest.fail "metrics response lacks openmetrics text"
+  in
+  List.iter
+    (fun name ->
+      ignore (rpc d (submit_req ~name (Lazy.force fig1)));
+      ignore (rpc d (advance_req ~name 1)))
+    [ "gone"; "kept" ];
+  Alcotest.(check bool) "series exported while live" true
+    (contains (metrics ()) "{tenant=\"gone\"}");
+  Alcotest.(check bool) "remove ok" true
+    (is_ok
+       (rpc d
+          [ ("id", J.String "rm"); ("op", J.String "remove");
+            ("name", J.String "gone") ]));
+  let text = metrics () in
+  Alcotest.(check bool) "no series left for the removed tenant" false
+    (contains text "{tenant=\"gone\"}");
+  Alcotest.(check bool) "survivor's series kept" true
+    (contains text "tpdf_serve_tenant_iterations{tenant=\"kept\"} 1");
+  Alcotest.(check bool) "fleet gauge follows the table" true
+    (contains text "tpdf_serve_tenants 1\n")
+
+(* The [metrics_out] file is rewritten after every request with the
+   same exposition the [metrics] op answers, fleet and per-tenant gauges
+   included — also when no client ever asks for [metrics] — and it
+   forgets a removed tenant the same way. *)
+let test_metrics_out_file () =
+  with_temp_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "fleet.prom" in
+  let d = daemon ~cfg:{ D.default_config with D.metrics_out = Some path } () in
+  ignore (rpc d (submit_req ~name:"m1" (Lazy.force fig1)));
+  ignore (rpc d (advance_req ~name:"m1" 2));
+  let text = read_file path in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("metrics file exposes " ^ needle) true
+        (contains text needle))
+    [
+      "tpdf_serve_tenant_iterations{tenant=\"m1\"} 2";
+      "tpdf_serve_tenants 1\n";
+      "tpdf_serve_capacity ";
+      "tpdf_serve_queue_depth 0\n";
+      "tpdf_serve_iterations_total 2";
+      "# EOF";
+    ];
+  ignore
+    (rpc d
+       [ ("id", J.String "rm"); ("op", J.String "remove");
+         ("name", J.String "m1") ]);
+  let text = read_file path in
+  Alcotest.(check bool) "no series left for the removed tenant" false
+    (contains text "{tenant=\"m1\"}");
+  Alcotest.(check bool) "fleet gauge follows the table" true
+    (contains text "tpdf_serve_tenants 0\n")
+
+(* A state dir written in another checkpoint format version is refused
+   when the daemon starts — naming the file and the version — instead of
+   being skipped as torn and coming up as an empty fleet. *)
+let test_foreign_state_dir_refused () =
+  with_temp_dir @@ fun dir ->
+  let cfg = { D.default_config with D.state_dir = Some dir } in
+  let d = daemon ~cfg () in
+  ignore (rpc d (submit_req ~name:"old" (Lazy.force fig1)));
+  ignore (rpc d (advance_req ~name:"old" 2));
+  Ckpt_v1.rewrite_dir dir;
+  match D.create cfg with
+  | Ok d' ->
+      Alcotest.failf "started on a tpdf-ckpt 1 state dir: %s"
+        (rpc d' [ ("id", J.String "l"); ("op", J.String "list") ])
+  | Error e ->
+      Alcotest.(check bool) ("names the manifest file: " ^ e) true
+        (contains e (Filename.concat dir "manifest"));
+      Alcotest.(check bool) ("names the version: " ^ e) true
+        (contains e "tpdf-ckpt 1")
+
 (* ---------- endpoint parsing ---------- *)
 
 let test_parse_endpoint () =
@@ -1423,7 +1509,12 @@ let () =
       ( "isolation",
         [ Alcotest.test_case "9-tenant fleet vs solo" `Quick test_fleet_isolation ] );
       ( "recovery",
-        [ Alcotest.test_case "drop + reload state dir" `Quick test_crash_recovery ] );
+        [
+          Alcotest.test_case "drop + reload state dir" `Quick
+            test_crash_recovery;
+          Alcotest.test_case "foreign-version state dir refused" `Quick
+            test_foreign_state_dir_refused;
+        ] );
       ( "eviction",
         [ Alcotest.test_case "evict/revive transparent" `Quick test_evict_revive ] );
       ( "reconfigure",
@@ -1439,6 +1530,10 @@ let () =
           Alcotest.test_case "tick shards the fleet" `Quick test_tick;
           Alcotest.test_case "metrics + checkpoint" `Quick
             test_metrics_and_checkpoint;
+          Alcotest.test_case "removed tenant leaves no series" `Quick
+            test_metrics_forget_removed;
+          Alcotest.test_case "metrics-out file carries the fleet gauges"
+            `Quick test_metrics_out_file;
         ] );
       ( "fuzz",
         [ Alcotest.test_case "malformed wire input" `Quick test_protocol_fuzz ] );

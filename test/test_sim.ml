@@ -146,7 +146,7 @@ let deadline_graph ~period =
     [ Mode.make ~inputs:Mode.Highest_priority_available "deadline" ];
   (g, ft, st)
 
-let run_deadline ~period =
+let run_deadline ?obs ~period () =
   let g, ft, st = deadline_graph ~period in
   let winner = ref None in
   let behaviors =
@@ -163,20 +163,33 @@ let run_deadline ~period =
       ("CLK", Behavior.emit_mode (fun _ -> "deadline"));
     ]
   in
-  let eng = Engine.create ~graph:g ~valuation:Valuation.empty ~behaviors ~default:0 () in
+  let eng =
+    Engine.create ~graph:g ~valuation:Valuation.empty ~behaviors ?obs
+      ~default:0 ()
+  in
   let stats = Engine.run eng in
   (!winner, stats)
 
+(* The run's trace: its firing spans and tick instants, from a full
+   collector. *)
+let traced_deadline ~period =
+  let obs = Tpdf_obs.Obs.create () in
+  let _, stats = run_deadline ~obs ~period () in
+  (stats, Tpdf_obs.Obs.events obs)
+
+let total_firings (stats : Engine.stats) =
+  List.fold_left (fun acc (_, n) -> acc + n) 0 stats.Engine.firings
+
 let test_deadline_picks_fast_when_tight () =
   (* Tick at 5 ms: only FAST (done at 1.1) is ready; SLOW finishes at 10.1. *)
-  let winner, _ = run_deadline ~period:5.0 in
+  let winner, _ = run_deadline ~period:5.0 () in
   match winner with
   | Some `Fast -> ()
   | _ -> Alcotest.fail "expected the fast result at a tight deadline"
 
 let test_deadline_picks_best_when_loose () =
   (* Tick at 15 ms: both ready; SLOW has the higher priority. *)
-  let winner, stats = run_deadline ~period:15.0 in
+  let winner, stats = run_deadline ~period:15.0 () in
   (match winner with
   | Some `Slow -> ()
   | _ -> Alcotest.fail "expected the high-priority result at a loose deadline");
@@ -185,18 +198,21 @@ let test_deadline_picks_best_when_loose () =
   Alcotest.(check int) "one rejected token" 1 total_dropped
 
 let test_trace_is_ordered () =
-  let _, stats = run_deadline ~period:5.0 in
+  let stats, events = traced_deadline ~period:5.0 in
+  let trace = Trace.records_of_events events in
   let rec ordered = function
     | a :: (b :: _ as rest) ->
         a.Engine.start_ms <= b.Engine.start_ms && ordered rest
     | _ -> true
   in
-  Alcotest.(check bool) "trace sorted by start" true (ordered stats.Engine.trace);
-  Alcotest.(check bool) "trace non-empty" true (stats.Engine.trace <> [])
+  Alcotest.(check bool) "trace sorted by start" true (ordered trace);
+  Alcotest.(check bool) "trace non-empty" true (trace <> []);
+  Alcotest.(check int) "one record per firing and tick" (total_firings stats)
+    (List.length trace)
 
 let test_determinism () =
-  let w1, s1 = run_deadline ~period:5.0 in
-  let w2, s2 = run_deadline ~period:5.0 in
+  let w1, s1 = run_deadline ~period:5.0 () in
+  let w2, s2 = run_deadline ~period:5.0 () in
   Alcotest.(check bool) "same winner" true (w1 = w2);
   Alcotest.(check bool) "same end time" true (s1.Engine.end_ms = s2.Engine.end_ms);
   Alcotest.(check bool) "same firing counts" true
@@ -399,8 +415,8 @@ let contains hay needle =
   nn = 0 || go 0
 
 let test_trace_gantt () =
-  let _, stats = run_deadline ~period:5.0 in
-  let s = Trace.gantt stats in
+  let _, events = traced_deadline ~period:5.0 in
+  let s = Trace.gantt_of_events events in
   List.iter
     (fun a -> Alcotest.(check bool) (a ^ " row present") true (contains s a))
     [ "SRC"; "FAST"; "SLOW"; "T"; "CLK" ];
@@ -408,12 +424,12 @@ let test_trace_gantt () =
   Alcotest.(check bool) "busy bars drawn" true (contains s "#")
 
 let test_trace_csv () =
-  let _, stats = run_deadline ~period:5.0 in
-  let s = Trace.to_csv stats in
+  let stats, events = traced_deadline ~period:5.0 in
+  let s = Trace.csv_of_events events in
   let lines = String.split_on_char '\n' (String.trim s) in
   Alcotest.(check string) "header" "actor,index,phase,mode,start_ms,finish_ms"
     (List.hd lines);
-  Alcotest.(check int) "one line per firing" (List.length stats.Engine.trace)
+  Alcotest.(check int) "one line per firing" (total_firings stats)
     (List.length lines - 1);
   Alcotest.(check bool) "mode recorded" true (contains s ",deadline,")
 
