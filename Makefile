@@ -12,36 +12,24 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Engine throughput and multicore scaling only, at smoke sizes (seconds,
-# not minutes); writes BENCH_engine.smoke.json / BENCH_par.smoke.json so
-# it never clobbers the checked-in full-size BENCH_engine.json and
-# BENCH_par.json.  Refresh the checked-in files with
-# `TPDF_BENCH_ONLY=E17 make bench` and `TPDF_BENCH_ONLY=E18 make bench`
-# (full sizes, tens of seconds each).
-bench-smoke:
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E17 \
-	  TPDF_BENCH_OUT=BENCH_engine.smoke.json dune exec bench/main.exe
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E18 \
-	  TPDF_BENCH_PAR_OUT=BENCH_par.smoke.json dune exec bench/main.exe
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E19 \
-	  TPDF_BENCH_CKPT_OUT=BENCH_ckpt.smoke.json dune exec bench/main.exe
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E20 \
-	  TPDF_BENCH_OBS_OUT=BENCH_obs.smoke.json dune exec bench/main.exe
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E21 \
-	  TPDF_BENCH_PARAM_OUT=BENCH_param.smoke.json dune exec bench/main.exe
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E22 \
-	  TPDF_BENCH_SERVE_OUT=BENCH_serve.smoke.json dune exec bench/main.exe
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E23 \
-	  TPDF_BENCH_NETCHAOS_OUT=BENCH_netchaos.smoke.json dune exec bench/main.exe
+# E17-E23 at smoke sizes (seconds, not minutes), written to SMOKE_DIR
+# so the checked-in full-size BENCH_*.json files are never clobbered,
+# then held to their schema and gates by `main.exe check`.  `make bench`
+# rewrites every checked-in file in one full-size run.
+SMOKE_DIR = _bench-smoke
+SMOKE_ONLY = E17,E18,E19,E20,E21,E22,E23
 
-# Telemetry smoke: E20 at smoke sizes (writes BENCH_obs.smoke.json, the
-# checked-in BENCH_obs.json is refreshed with `TPDF_BENCH_ONLY=E20 make
-# bench`), plus the critical-path analyzer on both case studies — it
-# exits non-zero if the observed period beats the proven MCR bound or
-# drifts from the throughput prediction.
+bench-smoke:
+	rm -rf $(SMOKE_DIR)
+	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=$(SMOKE_ONLY) TPDF_BENCH_DIR=$(SMOKE_DIR) \
+	  dune exec bench/main.exe
+	TPDF_BENCH_SMOKE=1 dune exec bench/main.exe -- check $(SMOKE_DIR)/*.json
+
+# Telemetry smoke: the E20 bench smoke, plus the critical-path analyzer
+# on both case studies — it exits non-zero if the observed period beats
+# the proven MCR bound or drifts from the throughput prediction.
 obs-smoke:
-	TPDF_BENCH_SMOKE=1 TPDF_BENCH_ONLY=E20 \
-	  TPDF_BENCH_OBS_OUT=BENCH_obs.smoke.json dune exec bench/main.exe
+	$(MAKE) bench-smoke SMOKE_ONLY=E20
 	dune exec bin/tpdf_tool.exe -- analyze-trace ofdm-tpdf -p beta=2 -p N=8 -p L=1
 	dune exec bin/tpdf_tool.exe -- analyze-trace edge -p W=8 -p H=8
 

@@ -1,5 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md section 2 for the experiment index E1..E17).
+   evaluation (see DESIGN.md section 2 for the experiment index E1..E23).
+
+   Usage: main.exe            run the experiments
+          main.exe check FILE...  check BENCH_*.json files against the
+                              schema and gates of their experiment
 
    Environment knobs:
      TPDF_BENCH_SIZE   image side for the Fig. 6 table (default 1024)
@@ -9,11 +13,10 @@
                        example graphs there
      TPDF_BENCH_ONLY   comma-separated experiment ids (e.g. "E17"): run
                        only those experiments
-     TPDF_BENCH_SMOKE  when set to 1, E17 runs reduced graph sizes (CI)
-     TPDF_BENCH_OUT    output path of the E17 perf JSON
-                       (default BENCH_engine.json)
-     TPDF_BENCH_PARAM_OUT  output path of the E21 symbolic-kernel JSON
-                       (default BENCH_param.json) *)
+     TPDF_BENCH_SMOKE  when set to 1, E17-E23 run reduced sizes (CI), and
+                       check expects smoke files
+     TPDF_BENCH_DIR    directory the BENCH_*.json files of E17-E23 are
+                       written to (default: the current directory) *)
 
 open Bechamel
 open Toolkit
@@ -27,6 +30,8 @@ module Synthetic = Tpdf_image.Synthetic
 module Platform = Tpdf_platform.Platform
 module Sched = Tpdf_sched
 module Engine = Tpdf_sim.Engine
+module J = Tpdf_serve.Json
+module Gates = Tpdf_bench.Gates
 
 let env_int name default =
   match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
@@ -42,22 +47,45 @@ let bench_smoke =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-(* Shared metadata block embedded in every BENCH_*.json so the numbers
-   can be interpreted later (compiler, word size, how much parallelism
-   the machine actually offers) without anything host-identifying. *)
-let fp_metadata oc =
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "  \"metadata\": {\n";
-  fp "    \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  fp "    \"os_type\": %S,\n" Sys.os_type;
-  fp "    \"word_size\": %d,\n" Sys.word_size;
-  fp "    \"cores_detected\": %d,\n" (Tpdf_par.Pool.recommended ());
-  fp "    \"tpdf_domains_env\": %s,\n"
-    (match Sys.getenv_opt "TPDF_DOMAINS" with
-    | Some s -> Printf.sprintf "%S" s
-    | None -> "null");
-  fp "    \"bench_smoke\": %b\n" bench_smoke;
-  fp "  },\n"
+let bench_dir = Option.value (Sys.getenv_opt "TPDF_BENCH_DIR") ~default:"."
+
+(* Output of [git args], only from the root of a checkout: git must not
+   go looking for a repository above it. *)
+let git args =
+  if not (Sys.file_exists ".git") then None
+  else
+    match Unix.open_process_args_in "git" (Array.of_list ("git" :: args)) with
+    | ic -> (
+        let s = In_channel.input_all ic in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 -> Some (String.trim s)
+        | _ -> None)
+    | exception Unix.Unix_error _ -> None
+
+(* The metadata block of every BENCH_*.json, so the numbers can be read
+   later (compiler, word size, how much parallelism the machine offers,
+   the commit) without anything host-identifying.  Forced before the
+   first file is written, so [dirty] describes the tree the run found. *)
+let metadata =
+  lazy
+    (let commit = git [ "rev-parse"; "HEAD" ] in
+     J.Obj
+       [
+         ("ocaml_version", J.String Sys.ocaml_version);
+         ("os_type", J.String Sys.os_type);
+         ("word_size", J.Int Sys.word_size);
+         ("cores_detected", J.Int (Tpdf_par.Pool.recommended ()));
+         ("commit", J.String (Option.value commit ~default:"unknown"));
+         ( "dirty",
+           match (commit, git [ "status"; "--porcelain" ]) with
+           | Some _, Some s -> J.Bool (s <> "")
+           | _ -> J.String "unknown" );
+         ("bench_smoke", J.Bool bench_smoke);
+       ])
+
+(* Six significant digits: enough for every gate, short enough to diff. *)
+let num x = J.Float (float_of_string (Printf.sprintf "%.6g" x))
+let records l f = J.List (List.map (fun r -> J.Obj (f r)) l)
 
 let section id title =
   Printf.printf "\n==[ %s ]=== %s ==========================================\n" id title
@@ -672,56 +700,39 @@ let e17_engine () =
         r)
       configs
   in
-  let chain_1e3 =
-    List.find_opt (fun r -> r.graph_name = "chain" && r.actors = 1000) runs
-  in
   let speedup =
-    match chain_1e3 with
-    | Some r when e17_baseline_chain_1e3_events_per_sec > 0.0 ->
-        r.events_per_sec /. e17_baseline_chain_1e3_events_per_sec
-    | _ -> 0.0
+    match List.find_opt (fun r -> r.graph_name = "chain" && r.actors = 1000) runs with
+    | Some r ->
+        let x = r.events_per_sec /. e17_baseline_chain_1e3_events_per_sec in
+        Printf.printf "chain-1e3 speedup vs seed engine baseline: %.1fx\n" x;
+        x
+    | None -> 0.0
   in
-  (match chain_1e3 with
-  | Some r when e17_baseline_chain_1e3_events_per_sec > 0.0 ->
-      Printf.printf "chain-1e3 speedup vs seed engine baseline: %.1fx\n"
-        (r.events_per_sec /. e17_baseline_chain_1e3_events_per_sec)
-  | _ -> ());
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_OUT" with
-    | Some p -> p
-    | None -> "BENCH_engine.json"
-  in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E17\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"baseline\": {\n";
-  fp "    \"engine\": \"seed (pre-compiled-tables, sorted-list Eq, global rescan)\",\n";
-  fp "    \"graph\": \"chain\",\n";
-  fp "    \"actors\": 1000,\n";
-  fp "    \"events_per_sec\": %.0f\n" e17_baseline_chain_1e3_events_per_sec;
-  fp "  },\n";
-  fp "  \"speedup_chain_1e3_vs_baseline\": %.2f,\n" speedup;
-  fp "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      fp
-        "    { \"graph\": %S, \"actors\": %d, \"iterations\": %d, \"events\": \
-         %d, \"wall_ms\": %.3f, \"events_per_sec\": %.1f, \
-         \"peak_heap_words\": %d, \"compiled_wall_ms\": %.3f, \
-         \"compiled_events_per_sec\": %.1f, \"compiled_vs_interpreted\": \
-         %.2f }%s\n"
-        r.graph_name r.actors r.iterations r.events r.wall_ms r.events_per_sec
-        r.peak_heap_words r.compiled_wall_ms r.compiled_events_per_sec
-        r.compiled_vs_interpreted
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  fp "  ]\n";
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
+  [
+    ( "baseline",
+      J.Obj
+        [
+          ("engine", J.String "seed (pre-compiled-tables, sorted-list Eq, global rescan)");
+          ("graph", J.String "chain");
+          ("actors", J.Int 1000);
+          ("events_per_sec", num e17_baseline_chain_1e3_events_per_sec);
+        ] );
+    ("speedup_chain_1e3_vs_baseline", num speedup);
+    ( "runs",
+      records runs (fun r ->
+          [
+            ("graph", J.String r.graph_name);
+            ("actors", J.Int r.actors);
+            ("iterations", J.Int r.iterations);
+            ("events", J.Int r.events);
+            ("wall_ms", num r.wall_ms);
+            ("events_per_sec", num r.events_per_sec);
+            ("peak_heap_words", J.Int r.peak_heap_words);
+            ("compiled_wall_ms", num r.compiled_wall_ms);
+            ("compiled_events_per_sec", num r.compiled_events_per_sec);
+            ("compiled_vs_interpreted", num r.compiled_vs_interpreted);
+          ]) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E18: multicore scaling — domain sweep over data-parallel kernels    *)
@@ -787,54 +798,41 @@ let e18_par () =
           detectors)
       sides
   in
-  (* -- BENCH_par.json ---------------------------------------------- *)
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_PAR_OUT" with
-    | Some p -> p
-    | None -> "BENCH_par.json"
+  let speedup r =
+    let wall_1 =
+      (List.find
+         (fun r' -> r'.detector = r.detector && r'.side = r.side && r'.e_domains = 1)
+         edge_runs)
+        .e_wall_ms
+    in
+    if r.e_wall_ms > 0.0 then wall_1 /. r.e_wall_ms else 0.0
   in
-  let speedup_of ~wall_1 wall = if wall > 0.0 then wall_1 /. wall else 0.0 in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E18\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"domain_sweep\": [%s],\n"
-    (String.concat ", " (List.map string_of_int domain_counts));
-  fp "  \"note\": %S,\n"
-    (if cores < 4 then
-       Printf.sprintf
-         "machine exposes %d core(s): pool domains beyond that time-share \
-          them, so speedup is bounded near %d.0x regardless of domain \
-          count; the determinism contract (bit-identical results at any \
-          domain count) is what these runs certify here. See EXPERIMENTS.md \
-          E18."
-         cores cores
-     else
-       "speedup is wall_ms at 1 domain divided by wall_ms at d domains, \
-        same workload");
-  fp "  \"edge\": [\n";
-  List.iteri
-    (fun i r ->
-      let wall_1 =
-        (List.find
-           (fun r' ->
-             r'.detector = r.detector && r'.side = r.side && r'.e_domains = 1)
-           edge_runs)
-          .e_wall_ms
-      in
-      fp
-        "    { \"detector\": %S, \"side\": %d, \"domains\": %d, \"wall_ms\": \
-         %.3f, \"mpix_per_sec\": %.3f, \"speedup_vs_1\": %.3f }%s\n"
-        r.detector r.side r.e_domains r.e_wall_ms r.mpix_per_sec
-        (speedup_of ~wall_1 r.e_wall_ms)
-        (if i = List.length edge_runs - 1 then "" else ","))
-    edge_runs;
-  fp "  ]\n";
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
+  [
+    ("domain_sweep", J.List (List.map (fun d -> J.Int d) domain_counts));
+    ( "note",
+      J.String
+        (if cores < 4 then
+           Printf.sprintf
+             "machine exposes %d core(s): pool domains beyond that time-share \
+              them, so speedup is bounded near %d.0x regardless of domain \
+              count; the determinism contract (bit-identical results at any \
+              domain count) is what these runs certify here. See EXPERIMENTS.md \
+              E18."
+             cores cores
+         else
+           "speedup is wall_ms at 1 domain divided by wall_ms at d domains, \
+            same workload") );
+    ( "edge",
+      records edge_runs (fun r ->
+          [
+            ("detector", J.String r.detector);
+            ("side", J.Int r.side);
+            ("domains", J.Int r.e_domains);
+            ("wall_ms", num r.e_wall_ms);
+            ("mpix_per_sec", num r.mpix_per_sec);
+            ("speedup_vs_1", num (speedup r));
+          ]) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E19: checkpoint overhead — period sweep over snapshot + persist     *)
@@ -965,48 +963,37 @@ let e19_ckpt () =
       configs
   in
   cleanup ();
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_CKPT_OUT" with
-    | Some p -> p
-    | None -> "BENCH_ckpt.json"
+  let overhead r =
+    let wall_off =
+      (List.find (fun r' -> r'.c_graph = r.c_graph && r'.c_period = 0) runs).c_wall_ms
+    in
+    if wall_off > 0.0 then r.c_wall_ms /. wall_off else 0.0
   in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E19\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"iterations\": %d,\n" iterations;
-  fp "  \"periods\": [%s],\n"
-    (String.concat ", " (List.map string_of_int periods));
-  fp "  \"note\": %S,\n"
-    "period 0 is checkpointing off; overhead_vs_off is wall_ms divided by \
-     the same graph's period-off wall_ms.  Checkpoints are full crash-\
-     consistent writes (temp + fsync + rename) of graph source, valuation \
-     and engine snapshot.  Chunked driving at small periods also imposes \
-     iteration barriers, so the overhead includes lost source run-ahead, \
-     not just serialization.";
-  fp "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      let wall_off =
-        (List.find (fun r' -> r'.c_graph = r.c_graph && r'.c_period = 0) runs)
-          .c_wall_ms
-      in
-      fp
-        "    { \"graph\": %S, \"period\": %d, \"events\": %d, \"wall_ms\": \
-         %.3f, \"events_per_sec\": %.1f, \"checkpoints\": %d, \
-         \"snapshot_bytes\": %d, \"restore_ms\": %.3f, \"overhead_vs_off\": \
-         %.3f }%s\n"
-        r.c_graph r.c_period r.c_events r.c_wall_ms r.c_events_per_sec
-        r.c_checkpoints r.c_snapshot_bytes r.c_restore_ms
-        (if wall_off > 0.0 then r.c_wall_ms /. wall_off else 0.0)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  fp "  ]\n";
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
+  [
+    ("iterations", J.Int iterations);
+    ("periods", J.List (List.map (fun p -> J.Int p) periods));
+    ( "note",
+      J.String
+        "period 0 is checkpointing off; overhead_vs_off is wall_ms divided by \
+         the same graph's period-off wall_ms.  Checkpoints are full crash-\
+         consistent writes (temp + fsync + rename) of graph source, valuation \
+         and engine snapshot.  Chunked driving at small periods also imposes \
+         iteration barriers, so the overhead includes lost source run-ahead, \
+         not just serialization." );
+    ( "runs",
+      records runs (fun r ->
+          [
+            ("graph", J.String r.c_graph);
+            ("period", J.Int r.c_period);
+            ("events", J.Int r.c_events);
+            ("wall_ms", num r.c_wall_ms);
+            ("events_per_sec", num r.c_events_per_sec);
+            ("checkpoints", J.Int r.c_checkpoints);
+            ("snapshot_bytes", J.Int r.c_snapshot_bytes);
+            ("restore_ms", num r.c_restore_ms);
+            ("overhead_vs_off", num (overhead r));
+          ]) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E20: telemetry overhead — collector off vs sampled vs full          *)
@@ -1136,79 +1123,62 @@ let e20_obs () =
     e20_run_one ~reps:1 ~t_graph:b_graph ~t_mode:"sampled" ~span_every:1
       ~iterations:b_iters b_g
   in
-  let bounded_ok =
-    bounded.t_ring_retained <= e20_ring_capacity
-    && bounded.t_obs_seen > e20_ring_capacity
+  Printf.printf "bounded: %s %d actors, %d events offered, ring retained %d/%d\n"
+    bounded.t_graph bounded.t_actors bounded.t_obs_seen bounded.t_ring_retained
+    e20_ring_capacity;
+  let overhead r =
+    let off =
+      (List.find (fun r' -> r'.t_graph = r.t_graph && r'.t_mode = "off") runs).t_wall_ms
+    in
+    if off > 0.0 then r.t_wall_ms /. off else 0.0
   in
-  Printf.printf
-    "bounded: %s %d actors, %d events offered, ring retained %d/%d -> %s\n"
-    bounded.t_graph bounded.t_actors bounded.t_obs_seen
-    bounded.t_ring_retained e20_ring_capacity
-    (if bounded_ok then "ok" else "FAILED");
-  let overhead_of mode =
-    (* worst overhead across graphs for [mode] *)
+  (* worst overhead across graphs for [mode] *)
+  let worst mode =
     List.fold_left
-      (fun acc r ->
-        if r.t_mode <> mode then acc
-        else
-          let off =
-            (List.find
-               (fun r' -> r'.t_graph = r.t_graph && r'.t_mode = "off")
-               runs)
-              .t_wall_ms
-          in
-          if off > 0.0 then Float.max acc (r.t_wall_ms /. off) else acc)
+      (fun acc r -> if r.t_mode = mode then Float.max acc (overhead r) else acc)
       0.0 runs
   in
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_OBS_OUT" with
-    | Some p -> p
-    | None -> "BENCH_obs.json"
-  in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E20\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"sampling\": { \"span_every\": %d, \"ring_capacity\": %d },\n"
-    e20_sampling.Tpdf_obs.Obs.span_every e20_ring_capacity;
-  fp "  \"note\": %S,\n"
-    "overhead_vs_off is wall_ms divided by the same graph's collector-off \
-     wall_ms (best of the repetitions each).  'sampled' is the production \
-     configuration: metrics always on, one in span_every firing spans into \
-     a bounded flight-recorder ring, no unbounded event list.  'full' is the \
-     diagnostic full-capture collector.  The bounded block runs an \
-     unsampled span stream through the ring to certify eviction.";
-  fp "  \"worst_overhead_sampled\": %.3f,\n" (overhead_of "sampled");
-  fp "  \"worst_overhead_full\": %.3f,\n" (overhead_of "full");
-  fp "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      let off =
-        (List.find
-           (fun r' -> r'.t_graph = r.t_graph && r'.t_mode = "off")
-           runs)
-          .t_wall_ms
-      in
-      fp
-        "    { \"graph\": %S, \"actors\": %d, \"iterations\": %d, \"mode\": \
-         %S, \"events\": %d, \"wall_ms\": %.3f, \"events_per_sec\": %.1f, \
-         \"obs_events_seen\": %d, \"ring_retained\": %d, \
-         \"overhead_vs_off\": %.3f }%s\n"
-        r.t_graph r.t_actors r.t_iterations r.t_mode r.t_events r.t_wall_ms
-        r.t_events_per_sec r.t_obs_seen r.t_ring_retained
-        (if off > 0.0 then r.t_wall_ms /. off else 0.0)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  fp "  ],\n";
-  fp "  \"bounded\": { \"graph\": %S, \"actors\": %d, \"events_offered\": \
-      %d, \"ring_capacity\": %d, \"ring_retained\": %d, \"ok\": %b }\n"
-    bounded.t_graph bounded.t_actors bounded.t_obs_seen e20_ring_capacity
-    bounded.t_ring_retained bounded_ok;
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
+  [
+    ( "sampling",
+      J.Obj
+        [
+          ("span_every", J.Int e20_sampling.Tpdf_obs.Obs.span_every);
+          ("ring_capacity", J.Int e20_ring_capacity);
+        ] );
+    ( "note",
+      J.String
+        "overhead_vs_off is wall_ms divided by the same graph's collector-off \
+         wall_ms (best of the repetitions each).  'sampled' is the production \
+         configuration: metrics always on, one in span_every firing spans into \
+         a bounded flight-recorder ring, no unbounded event list.  'full' is the \
+         diagnostic full-capture collector.  The bounded block runs an \
+         unsampled span stream through the ring to certify eviction." );
+    ("worst_overhead_sampled", num (worst "sampled"));
+    ("worst_overhead_full", num (worst "full"));
+    ( "runs",
+      records runs (fun r ->
+          [
+            ("graph", J.String r.t_graph);
+            ("actors", J.Int r.t_actors);
+            ("iterations", J.Int r.t_iterations);
+            ("mode", J.String r.t_mode);
+            ("events", J.Int r.t_events);
+            ("wall_ms", num r.t_wall_ms);
+            ("events_per_sec", num r.t_events_per_sec);
+            ("obs_events_seen", J.Int r.t_obs_seen);
+            ("ring_retained", J.Int r.t_ring_retained);
+            ("overhead_vs_off", num (overhead r));
+          ]) );
+    ( "bounded",
+      J.Obj
+        [
+          ("graph", J.String bounded.t_graph);
+          ("actors", J.Int bounded.t_actors);
+          ("events_offered", J.Int bounded.t_obs_seen);
+          ("ring_capacity", J.Int e20_ring_capacity);
+          ("ring_retained", J.Int bounded.t_ring_retained);
+        ] );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E21: symbolic kernel — hash-consed algebra vs the frozen legacy     *)
@@ -1542,55 +1512,39 @@ let e21_param () =
     (gauge "param.memo.hits") (gauge "param.memo.misses")
     (gauge "param.intern.monomials")
     (gauge "param.intern.polys") (gauge "param.intern.fracs");
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_PARAM_OUT" with
-    | Some p -> p
-    | None -> "BENCH_param.json"
-  in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E21\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"baseline\": {\n";
-  fp
-    "    \"kernel\": \"pre-rewrite assoc-list Monomial/Poly/Frac \
-     (Tpdf_param_legacy.Legacy), first-fractional denominator clearing\"\n";
-  fp "  },\n";
-  fp "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      let opt_f v =
-        if Float.is_nan v then "null" else Printf.sprintf "%.3f" v
-      in
-      fp
-        "    { \"kind\": %S, \"graph\": %S, \"params\": %d, \"actors\": %d, \
-         \"new_ms\": %.3f, \"new_memo_off_ms\": %.3f, \"legacy_ms\": %s, \
-         \"speedup\": %s, \"outputs_match\": %s }%s\n"
-        r.p_kind r.p_graph r.p_params r.p_actors r.p_new_ms r.p_memo_off_ms
-        (opt_f r.p_legacy_ms) (opt_f r.p_speedup)
-        (match r.p_outputs_match with
-        | None -> "null"
-        | Some b -> string_of_bool b)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  fp "  ],\n";
-  fp "  \"gauges\": {\n";
-  fp "    \"param_memo_hits\": %.0f,\n" (gauge "param.memo.hits");
-  fp "    \"param_memo_misses\": %.0f,\n" (gauge "param.memo.misses");
-  fp "    \"param_intern_monomials\": %.0f,\n" (gauge "param.intern.monomials");
-  fp "    \"param_intern_polys\": %.0f,\n" (gauge "param.intern.polys");
-  fp "    \"param_intern_fracs\": %.0f\n" (gauge "param.intern.fracs");
-  fp "  }\n";
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  if
-    List.exists
-      (fun r -> r.p_outputs_match = Some false)
-      rows
-  then failwith "E21: rewritten kernel disagrees with the legacy baseline"
+  [
+    ( "baseline",
+      J.Obj
+        [
+          ( "kernel",
+            J.String
+              "pre-rewrite assoc-list Monomial/Poly/Frac \
+               (Tpdf_param_legacy.Legacy), first-fractional denominator clearing" );
+        ] );
+    ( "rows",
+      records rows (fun r ->
+          [
+            ("kind", J.String r.p_kind);
+            ("graph", J.String r.p_graph);
+            ("params", J.Int r.p_params);
+            ("actors", J.Int r.p_actors);
+            ("new_ms", num r.p_new_ms);
+            ("new_memo_off_ms", num r.p_memo_off_ms);
+            ("legacy_ms", num r.p_legacy_ms);
+            ("speedup", num r.p_speedup);
+            ( "outputs_match",
+              match r.p_outputs_match with None -> J.Null | Some b -> J.Bool b );
+          ]) );
+    ( "gauges",
+      J.Obj
+        (List.map
+           (fun g ->
+             (String.map (function '.' -> '_' | c -> c) g, J.Int (int_of_float (gauge g))))
+           [
+             "param.memo.hits"; "param.memo.misses"; "param.intern.monomials";
+             "param.intern.polys"; "param.intern.fracs";
+           ]) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E22: serving — multi-tenant throughput, p95 latency, fault column   *)
@@ -1719,8 +1673,6 @@ let e22_load ~s_label ~tenants ~rounds ~iters_per_advance ~faulty ?state_dir ()
     s_healthy_p95_ms = e22_percentile healthy_l 0.95;
   }
 
-let e22_gate_p95_ratio = 2.0
-
 let e22_serve () =
   section "E22" "Serving: multi-tenant throughput, p95 latency, fault column";
   let smoke = bench_smoke in
@@ -1761,73 +1713,54 @@ let e22_serve () =
     if base_healthy_p95 > 0.0 then fault_healthy_p95 /. base_healthy_p95
     else 0.0
   in
-  let isolation_ok = p95_ratio > 0.0 && p95_ratio <= e22_gate_p95_ratio in
   Printf.printf "%-8s %8s %9s %11s %11s %12s %9s %9s %12s\n" "mode" "tenants"
     "requests" "iterations" "firings" "firings/sec" "p50 ms" "p95 ms"
     "healthy p95";
+  let per_sec n r =
+    if r.s_wall_ms > 0.0 then 1000.0 *. float_of_int n /. r.s_wall_ms else 0.0
+  in
   List.iter
     (fun r ->
       Printf.printf "%-8s %8d %9d %11d %11d %12.0f %9.3f %9.3f %12.3f\n"
         r.s_label r.s_tenants r.s_requests r.s_iterations r.s_firings
-        (if r.s_wall_ms > 0.0 then
-           1000.0 *. float_of_int r.s_firings /. r.s_wall_ms
-         else 0.0)
-        r.s_p50_ms r.s_p95_ms r.s_healthy_p95_ms)
+        (per_sec r.s_firings r) r.s_p50_ms r.s_p95_ms r.s_healthy_p95_ms)
     runs;
   Printf.printf
     "fault isolation: healthy p95 %.3f ms with faulter vs %.3f ms without \
-     (%.2fx, gate %.1fx) -> %s\n"
-    fault_healthy_p95 base_healthy_p95 p95_ratio e22_gate_p95_ratio
-    (if isolation_ok then "ok" else "FAILED");
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_SERVE_OUT" with
-    | Some p -> p
-    | None -> "BENCH_serve.json"
-  in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E22\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"note\": %S,\n"
-    "In-process saturation load over the daemon core (the socket pump adds \
-     only line I/O): submit the fleet, then round-robin advance requests \
-     with zero think time.  'mem' is the memory-only daemon, 'persist' \
-     checkpoints every 4 iterations to a state directory, 'fault' adds one \
-     permanently failing tenant (quarantined on its first advance) on top \
-     of the healthy fleet.  healthy_p95_ms is the p95 over healthy \
-     tenants' advance requests only; isolation_ok gates the ratio of that \
-     p95 with and without the faulter.";
-  fp "  \"iters_per_advance\": %d,\n" iters_per_advance;
-  fp "  \"rounds\": %d,\n" rounds;
-  fp "  \"gate_p95_ratio\": %.1f,\n" e22_gate_p95_ratio;
-  fp "  \"healthy_p95_ratio\": %.3f,\n" p95_ratio;
-  fp "  \"isolation_ok\": %b,\n" isolation_ok;
-  fp "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      fp
-        "    { \"mode\": %S, \"tenants\": %d, \"requests\": %d, \
-         \"iterations\": %d, \"firings\": %d, \"wall_ms\": %.3f, \
-         \"requests_per_sec\": %.1f, \"firings_per_sec\": %.1f, \
-         \"quarantined\": %d, \"request_p50_ms\": %.4f, \"request_p95_ms\": \
-         %.4f, \"healthy_p95_ms\": %.4f }%s\n"
-        r.s_label r.s_tenants r.s_requests r.s_iterations r.s_firings
-        r.s_wall_ms
-        (if r.s_wall_ms > 0.0 then
-           1000.0 *. float_of_int r.s_requests /. r.s_wall_ms
-         else 0.0)
-        (if r.s_wall_ms > 0.0 then
-           1000.0 *. float_of_int r.s_firings /. r.s_wall_ms
-         else 0.0)
-        r.s_quarantined r.s_p50_ms r.s_p95_ms r.s_healthy_p95_ms
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  fp "  ]\n";
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
+     (%.2fx)\n"
+    fault_healthy_p95 base_healthy_p95 p95_ratio;
+  [
+    ( "note",
+      J.String
+        "In-process saturation load over the daemon core (the socket pump adds \
+         only line I/O): submit the fleet, then round-robin advance requests \
+         with zero think time.  'mem' is the memory-only daemon, 'persist' \
+         checkpoints every 4 iterations to a state directory, 'fault' adds one \
+         permanently failing tenant (quarantined on its first advance) on top \
+         of the healthy fleet.  healthy_p95_ms is the p95 over healthy \
+         tenants' advance requests only; isolation_ok gates the ratio of that \
+         p95 with and without the faulter." );
+    ("iters_per_advance", J.Int iters_per_advance);
+    ("rounds", J.Int rounds);
+    ("gate_p95_ratio", num Gates.e22_p95_ratio_max);
+    ("healthy_p95_ratio", num p95_ratio);
+    ( "runs",
+      records runs (fun r ->
+          [
+            ("mode", J.String r.s_label);
+            ("tenants", J.Int r.s_tenants);
+            ("requests", J.Int r.s_requests);
+            ("iterations", J.Int r.s_iterations);
+            ("firings", J.Int r.s_firings);
+            ("wall_ms", num r.s_wall_ms);
+            ("requests_per_sec", num (per_sec r.s_requests r));
+            ("firings_per_sec", num (per_sec r.s_firings r));
+            ("quarantined", J.Int r.s_quarantined);
+            ("request_p50_ms", num r.s_p50_ms);
+            ("request_p95_ms", num r.s_p95_ms);
+            ("healthy_p95_ms", num r.s_healthy_p95_ms);
+          ]) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E23: network chaos — resilient client over a seeded fault plan      *)
@@ -2023,8 +1956,6 @@ let e23_load ~label ~spec ~seed ~tenants ~rounds ~iters_per_advance () =
     n_diverged = diverged;
   }
 
-let e23_gate_p95_ratio = 2.0
-
 let e23_netchaos () =
   section "E23"
     "Network chaos: resilient client + idempotency under a fault-plan sweep";
@@ -2055,12 +1986,8 @@ let e23_netchaos () =
     if base.n_p95_ms > 0.0 then r.n_p95_ms /. base.n_p95_ms else 0.0
   in
   let worst_ratio = List.fold_left (fun m r -> Float.max m (ratio r)) 0.0 faults in
-  let p95_ok = worst_ratio > 0.0 && worst_ratio <= e23_gate_p95_ratio in
   let diverged = List.fold_left (fun a r -> a + r.n_diverged) 0 runs in
   let total_lost = List.fold_left (fun a r -> a + r.n_lost) 0 runs in
-  let injected r = r.n_req_lost + r.n_resp_lost + r.n_delayed in
-  let injected_ok = List.for_all (fun r -> injected r > 0) faults in
-  let divergence_ok = diverged = 0 && total_lost = 0 in
   Printf.printf "%-11s %8s %9s %9s %7s %9s %9s %8s %9s %9s\n" "plan" "tenants"
     "logical" "attempts" "lost" "req_lost" "resp_lost" "delayed" "p95 ms"
     "diverged";
@@ -2070,62 +1997,47 @@ let e23_netchaos () =
         r.n_tenants r.n_logical r.n_attempts r.n_lost r.n_req_lost
         r.n_resp_lost r.n_delayed r.n_p95_ms r.n_diverged)
     runs;
-  Printf.printf
-    "healthy p95 under chaos: worst %.2fx of baseline (gate %.1fx) -> %s\n"
-    worst_ratio e23_gate_p95_ratio
-    (if p95_ok then "ok" else "FAILED");
-  Printf.printf "state divergence: %d tenants, %d lost requests -> %s\n"
-    diverged total_lost
-    (if divergence_ok then "ok" else "FAILED");
-  let out =
-    match Sys.getenv_opt "TPDF_BENCH_NETCHAOS_OUT" with
-    | Some p -> p
-    | None -> "BENCH_netchaos.json"
-  in
-  let oc = open_out out in
-  let fp fmt = Printf.fprintf oc fmt in
-  fp "{\n";
-  fp "  \"experiment\": \"E23\",\n";
-  fp "  \"smoke\": %b,\n" smoke;
-  fp_metadata oc;
-  fp "  \"note\": %S,\n"
-    "Open-loop load through the resilient client (deadlines, idempotency \
-     keys, seeded jittered backoff) against an in-process transport that \
-     injects wire faults from a seeded netfault plan: lost requests, lost \
-     responses, delays.  Every successful logical advance is mirrored into \
-     a fault-free twin daemon; divergence counts tenants whose final query \
-     differs byte-for-byte from the twin's; retries plus rid replay must \
-     never double-advance a tenant.  p95 is per-logical-request daemon \
-     time summed over attempts (injected delays and backoff accumulate in \
-     virtual time); p95_ratio_ok gates the worst chaos-run p95 against the \
-     no-fault baseline.";
-  fp "  \"iters_per_advance\": %d,\n" iters_per_advance;
-  fp "  \"rounds\": %d,\n" rounds;
-  fp "  \"gate_p95_ratio\": %.1f,\n" e23_gate_p95_ratio;
-  fp "  \"worst_p95_ratio\": %.3f,\n" worst_ratio;
-  fp "  \"p95_ratio_ok\": %b,\n" p95_ok;
-  fp "  \"diverged_tenants\": %d,\n" diverged;
-  fp "  \"lost_requests\": %d,\n" total_lost;
-  fp "  \"divergence_ok\": %b,\n" divergence_ok;
-  fp "  \"faults_injected_ok\": %b,\n" injected_ok;
-  fp "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      fp
-        "    { \"plan\": %S, \"spec\": %S, \"tenants\": %d, \"logical\": %d, \
-         \"attempts\": %d, \"lost\": %d, \"req_lost\": %d, \"resp_lost\": \
-         %d, \"delayed\": %d, \"wall_ms\": %.3f, \"virtual_ms\": %.3f, \
-         \"request_p50_ms\": %.4f, \"request_p95_ms\": %.4f, \"diverged\": \
-         %d }%s\n"
-        r.n_label r.n_spec r.n_tenants r.n_logical r.n_attempts r.n_lost
-        r.n_req_lost r.n_resp_lost r.n_delayed r.n_wall_ms r.n_virtual_ms
-        r.n_p50_ms r.n_p95_ms r.n_diverged
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  fp "  ]\n";
-  fp "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
+  Printf.printf "healthy p95 under chaos: worst %.2fx of baseline\n" worst_ratio;
+  Printf.printf "state divergence: %d tenants, %d lost requests\n" diverged
+    total_lost;
+  [
+    ( "note",
+      J.String
+        "Open-loop load through the resilient client (deadlines, idempotency \
+         keys, seeded jittered backoff) against an in-process transport that \
+         injects wire faults from a seeded netfault plan: lost requests, lost \
+         responses, delays.  Every successful logical advance is mirrored into \
+         a fault-free twin daemon; divergence counts tenants whose final query \
+         differs byte-for-byte from the twin's; retries plus rid replay must \
+         never double-advance a tenant.  p95 is per-logical-request daemon \
+         time summed over attempts (injected delays and backoff accumulate in \
+         virtual time); p95_ratio_ok gates the worst chaos-run p95 against the \
+         no-fault baseline." );
+    ("iters_per_advance", J.Int iters_per_advance);
+    ("rounds", J.Int rounds);
+    ("gate_p95_ratio", num Gates.e23_p95_ratio_max);
+    ("worst_p95_ratio", num worst_ratio);
+    ("diverged_tenants", J.Int diverged);
+    ("lost_requests", J.Int total_lost);
+    ( "runs",
+      records runs (fun r ->
+          [
+            ("plan", J.String r.n_label);
+            ("spec", J.String r.n_spec);
+            ("tenants", J.Int r.n_tenants);
+            ("logical", J.Int r.n_logical);
+            ("attempts", J.Int r.n_attempts);
+            ("lost", J.Int r.n_lost);
+            ("req_lost", J.Int r.n_req_lost);
+            ("resp_lost", J.Int r.n_resp_lost);
+            ("delayed", J.Int r.n_delayed);
+            ("wall_ms", num r.n_wall_ms);
+            ("virtual_ms", num r.n_virtual_ms);
+            ("request_p50_ms", num r.n_p50_ms);
+            ("request_p95_ms", num r.n_p95_ms);
+            ("diverged", J.Int r.n_diverged);
+          ]) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* TPDF_BENCH_TRACE: observability artifacts for the example graphs    *)
@@ -2161,7 +2073,31 @@ let write_traces dir =
         (Obs.event_count obs) summary)
     runs
 
-let () =
+(* Write one E17-E23 file: the shared header, then the run's fields,
+   with each recorded flag filled from its gate; then check it like
+   [check] does.  A failed gate fails the run once every file is written. *)
+let gates_failed = ref false
+
+let write_bench (spec : Gates.spec) fields =
+  let doc =
+    Gates.record_flags spec
+      (J.Obj
+         (("experiment", J.String spec.id)
+         :: ("smoke", J.Bool bench_smoke)
+         :: ("metadata", Lazy.force metadata)
+         :: fields))
+  in
+  if not (Sys.file_exists bench_dir) then Sys.mkdir bench_dir 0o755;
+  let path = Filename.concat bench_dir spec.file in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Gates.render doc));
+  Printf.printf "wrote %s\n" path;
+  match Gates.check_doc ~smoke:bench_smoke ~file:path doc with
+  | Ok line -> print_endline line
+  | Error errors ->
+      List.iter prerr_endline errors;
+      gates_failed := true
+
+let run_experiments () =
   Printf.printf
     "TPDF reproduction benchmark harness (paper: Do, Louise, Cohen — DATE 2016)\n";
   (match Sys.getenv_opt "TPDF_BENCH_TRACE" with
@@ -2169,6 +2105,7 @@ let () =
   | None -> ());
   Printf.printf "image size for E7: %dx%d; Bechamel quota: %.1fs\n" bench_size
     bench_size bench_quota;
+  ignore (Lazy.force metadata);
   let experiments =
     [
       ("E1", e1_fig1);
@@ -2185,14 +2122,19 @@ let () =
       ("E14", e14_video);
       ("E15", e15_ablation);
       ("E16", e16_resilience);
-      ("E17", e17_engine);
-      ("E18", e18_par);
-      ("E19", e19_ckpt);
-      ("E20", e20_obs);
-      ("E21", e21_param);
-      ("E22", e22_serve);
-      ("E23", e23_netchaos);
     ]
+    @ List.map
+        (fun ((spec : Gates.spec), run) ->
+          (spec.id, fun () -> write_bench spec (run ())))
+        [
+          (Gates.e17, e17_engine);
+          (Gates.e18, e18_par);
+          (Gates.e19, e19_ckpt);
+          (Gates.e20, e20_obs);
+          (Gates.e21, e21_param);
+          (Gates.e22, e22_serve);
+          (Gates.e23, e23_netchaos);
+        ]
   in
   let only =
     match Sys.getenv_opt "TPDF_BENCH_ONLY" with
@@ -2204,4 +2146,20 @@ let () =
     (fun (id, f) ->
       match only with Some ids when not (List.mem id ids) -> () | _ -> f ())
     experiments;
-  print_newline ()
+  print_newline ();
+  if !gates_failed then exit 1
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> run_experiments ()
+  | "check" :: (_ :: _ as files) ->
+      let results = List.map (Gates.check_file ~smoke:bench_smoke) files in
+      List.iter
+        (function
+          | Ok line -> print_endline line
+          | Error errors -> List.iter prerr_endline errors)
+        results;
+      if List.exists Result.is_error results then exit 1
+  | _ ->
+      prerr_endline "usage: main.exe [check FILE...]";
+      exit 2

@@ -241,7 +241,14 @@ let cmd_simulate name params iterations trace backend =
   (* The trace is the obs stream: a full collector only when asked. *)
   let obs = if trace then Obs.create () else Obs.disabled in
   let eng = Tpdf_sim.Engine.create ~graph:g ~valuation:v ~obs ~default:0 () in
-  match Tpdf_sim.Engine.run ~backend ~iterations eng with
+  (* The default control behaviours pin each kernel to its first mode;
+     actors that scenario starves are not waited for. *)
+  let targets =
+    List.map
+      (fun a -> (a, 0))
+      (Sim.Reconfigure.starved_actors g (List.hd (Sim.Reconfigure.mode_scenarios g)))
+  in
+  match Tpdf_sim.Engine.run ~backend ~iterations ~targets eng with
   | stats ->
       if trace then
         print_string (Tpdf_sim.Trace.gantt_of_events (Obs.events obs));
@@ -269,60 +276,14 @@ let cmd_throughput name params pes =
   | Some s -> Format.printf "single-appearance schedule: %a@." Csdf.Sas.pp s
   | None -> Format.printf "no single-appearance schedule (interleaving required)@."
 
-(* TPDF_DOMAINS=d gives [serve] a d-domain pool, across which the daemon
-   shards [tick] batches.  Each tenant's engine runs on one domain, so
-   responses are bit-identical to a pool-less daemon's. *)
-let with_env_pool f =
-  match Sys.getenv_opt "TPDF_DOMAINS" with
-  | None -> f None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d > 1 ->
-          let pool = Tpdf_par.Pool.create ~domains:d in
-          Fun.protect
-            ~finally:(fun () -> Tpdf_par.Pool.shutdown pool)
-            (fun () -> f (Some pool))
-      | Some d when d >= 0 -> f None
-      | _ ->
-          or_die
-            (Error (Printf.sprintf "TPDF_DOMAINS: expected a count, got %S" s)))
-
 (* Run everything — analyses, scheduling and a mode-scenario simulation
    sweep — under one collector. *)
 let instrumented_run name params pes iterations backend =
   let g = or_die (lookup_graph name) in
-  let v = need_valuation g params in
-  let obs = Obs.create () in
-  (* Static analyses. *)
-  (try
-     ignore (Analysis.repetition ~obs g);
-     ignore (Analysis.rate_safety ~obs g);
-     ignore
-       (Analysis.check_boundedness ~obs g
-          ~samples:(Liveness.default_samples g))
-   with Csdf.Repetition.Inconsistent _ | Csdf.Repetition.Disconnected -> ());
-  (* Scheduling analyses. *)
-  let conc = Csdf.Concrete.make (Graph.skeleton g) v in
-  (try
-     ignore
-       (Sched.Mcr.iteration_period_ms ~obs (Sched.Mcr.build ~obs conc))
-   with Failure _ -> ());
-  let platform = Platform.uniform pes in
-  (try
-     let period = Sched.Canonical_period.build conc in
-     ignore (Sched.List_scheduler.run ~obs ~graph:g period platform);
-     ignore (Sched.Throughput.iteration_period_ms ~obs ~graph:g conc platform)
-   with Failure _ -> ());
-  (* Simulation: sweep every mode scenario so each kernel exercises each of
-     its modes (and `reconfig` instants mark the boundaries). *)
-  (match
-     Sim.Reconfigure.run_scenarios ~graph:g ~backend ~obs ~iterations
-       ~valuation:v ~default:0
-       (Sim.Reconfigure.mode_scenarios g)
-   with
-  | (_ : Sim.Reconfigure.report) -> ()
-  | exception Failure m -> or_die (Error m));
-  obs
+  let valuation = need_valuation g params in
+  match Apps.Profile.run ~graph:g ~valuation ~pes ~iterations ~backend () with
+  | obs -> obs
+  | exception Failure m -> or_die (Error m)
 
 let cmd_profile name params pes iterations openmetrics backend =
   let obs = instrumented_run name params pes iterations backend in
@@ -1370,8 +1331,7 @@ let cmd_serve socket state_dir max_tenants max_resident capacity max_queue
         crash_at;
       }
     in
-    with_env_pool @@ fun pool ->
-    let daemon = or_die (Serve.Daemon.create ?pool ~dial:(mk_dial ()) cfg) in
+    let daemon = or_die (Serve.Daemon.create ~dial:(mk_dial ()) cfg) in
     Printf.eprintf "tpdf_tool: serving on %s\n%!" socket;
     match Serve.Server.serve ~limits ~netfault daemon endpoint with
     | r -> or_die r
@@ -1638,8 +1598,7 @@ let serve_cmd =
           every tenant byte-identically.  Live migration ($(b,tpdf_tool \
           client --migrate)) hands a tenant to a peer daemon through a \
           two-phase checksummed checkpoint transfer that survives \
-          $(b,kill -9) of either side.  $(b,TPDF_DOMAINS) shards \
-          $(b,tick) batches across a domain pool.")
+          $(b,kill -9) of either side.")
     Term.(
       const cmd_serve $ socket_arg $ state_dir_arg $ max_tenants_arg
       $ max_resident_arg $ capacity_arg $ max_queue_arg $ max_advance_arg

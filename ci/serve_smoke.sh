@@ -12,8 +12,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if ! command -v python3 > /dev/null 2>&1; then
-  echo "serve-smoke: SKIPPED (python3 needed to JSON-escape graph sources)"
-  exit 0
+  echo "serve-smoke: SKIPPED (python3 needed to JSON-escape graph sources)" >&2
+  exit 1
 fi
 
 dune build bin/tpdf_tool.exe

@@ -5,11 +5,10 @@
     participant) and runs batches of independent tasks on them.  It is
     built directly on [Domain]/[Mutex]/[Condition] — no external
     dependencies — and designed for deterministic callers (the image and
-    DSP kernels, the serve daemon's [tick] sharding): results always
-    come back in task-index order, chunk merges
-    happen in ascending chunk order, and the lowest-indexed exception
-    wins, so a program that treats the pool as a black box cannot observe
-    how work was interleaved.
+    DSP kernels): results always come back in task-index order, chunk
+    merges happen in ascending chunk order, and the lowest-indexed
+    exception wins, so a program that treats the pool as a black box
+    cannot observe how work was interleaved.
 
     A pool is owned by one orchestrating domain: batches are issued one
     at a time ([run] is not reentrant — a task must not submit to the
@@ -29,7 +28,7 @@ val domains : t -> int
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — what the machine can actually
-    run in parallel.  Exposed for benchmarks and [TPDF_DOMAINS] plumbing. *)
+    run in parallel.  Exposed for benchmarks. *)
 
 val run : t -> (unit -> 'a) array -> 'a array
 (** Execute one batch.  Every task is attempted exactly once (tasks after

@@ -49,7 +49,6 @@ type t = {
   cfg : config;
   reg : R.t;
   metrics : Metrics.t;
-  pool : Tpdf_par.Pool.t option;
   dial : dial;
   rids : (string, string) Hashtbl.t;  (** rid -> cached response line *)
   rid_q : string Queue.t;  (** FIFO of cached rids, oldest first *)
@@ -504,37 +503,15 @@ let h_tick d ~id req =
              | _ -> None)
            (R.tenants d.reg)
        in
-       let shards =
-         match d.pool with
-         | Some pool -> max 1 (Tpdf_par.Pool.domains pool)
-         | None -> 1
-       in
-       let work = Array.make shards [] in
-       List.iteri
-         (fun i (tn, hot) -> work.(i mod shards) <- (tn, hot) :: work.(i mod shards))
-         runnable;
-       Array.iteri (fun i l -> work.(i) <- List.rev l) work;
-       (* Tenants are disjoint across shards, so shard tasks touch
-          disjoint records; engines run pool-less inside pool tasks
-          (Pool.run is not reentrant).  Exceptions are confined to the
-          tenant that raised. *)
-       let task shard () =
+       (* Exceptions are confined to the tenant that raised; results
+          commit in sorted tenant order. *)
+       let outcomes =
          List.map
            (fun (tn, hot) ->
              match advance_hot d.cfg tn hot n ~wall_deadline:None with
              | outcome, fired, compiles -> (tn, Ok outcome, fired, compiles)
              | exception e -> (tn, Error (Printexc.to_string e), 0, 0))
-           work.(shard)
-       in
-       let results =
-         match d.pool with
-         | Some pool when shards > 1 ->
-             Tpdf_par.Pool.run pool (Array.init shards (fun i -> task i))
-         | _ -> Array.init shards (fun i -> task i ())
-       in
-       (* Deterministic commit in sorted tenant order. *)
-       let outcomes =
-         Array.to_list results |> List.concat
+           runnable
          |> List.sort (fun (a, _, _, _) (b, _, _, _) ->
                 String.compare a.R.t_name b.R.t_name)
        in
@@ -1343,7 +1320,7 @@ let handle_line d line =
           | _ -> ());
           out)
 
-let create ?pool ?dial cfg =
+let create ?dial cfg =
   let reg_and_counters =
     match cfg.state_dir with
     | Some dir -> R.load ~dir
@@ -1368,7 +1345,6 @@ let create ?pool ?dial cfg =
           cfg;
           reg;
           metrics = m;
-          pool;
           dial;
           rids = Hashtbl.create 64;
           rid_q = Queue.create ();

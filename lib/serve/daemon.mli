@@ -69,11 +69,11 @@ type dial = string -> string -> (string, string) result
 
 type t
 
-val create : ?pool:Tpdf_par.Pool.t -> ?dial:dial -> config -> (t, string) result
+val create : ?dial:dial -> config -> (t, string) result
 (** A fresh daemon; with [state_dir] set, restores the fleet from the
     newest valid manifest (tenants come back cold and revive lazily).
-    [pool] shards [tick] batches across its domains; [dial] enables the
-    [migrate] and [resolve] ops (without it they fail cleanly). *)
+    [dial] enables the [migrate] and [resolve] ops (without it they fail
+    cleanly). *)
 
 val handle : t -> Json.t -> Json.t
 (** Process one request object. *)

@@ -64,3 +64,18 @@ let emit_mode ?duration_ms f =
   make ?duration_ms (fun ctx ->
       let m = f ctx in
       produce_at_rates ctx (fun _ _ -> Token.Ctrl m))
+
+let first_mode graph kernel =
+  match Tpdf_core.Graph.modes graph kernel with
+  | m :: _ -> m.Tpdf_core.Mode.name
+  | [] -> "default"
+
+let scenario_control graph scenario =
+  let skel = Tpdf_core.Graph.skeleton graph in
+  let mode_for ch =
+    let kernel = (Tpdf_csdf.Graph.channel skel ch).Tpdf_graph.Digraph.dst in
+    match List.assoc_opt kernel scenario with
+    | Some name -> name
+    | None -> first_mode graph kernel
+  in
+  make (fun ctx -> produce_at_rates ctx (fun ch _ -> Token.Ctrl (mode_for ch)))

@@ -44,6 +44,18 @@ val emit_mode : ?duration_ms:('a ctx -> float) -> ('a ctx -> string) -> 'a t
 (** Control-actor behaviour: emit the computed mode name as control tokens
     at the expected rates on every output channel. *)
 
+val first_mode : Tpdf_core.Graph.t -> string -> string
+(** The kernel's first declared mode, or ["default"] if it declares none:
+    the mode a kernel starts in, and the one {!scenario_control} sends it
+    when unpinned. *)
+
+val scenario_control : Tpdf_core.Graph.t -> (string * string) list -> 'a t
+(** Control-actor behaviour: emit, on each control channel, the mode the
+    [(kernel, mode)] pins give the channel's destination kernel, else that
+    kernel's first declared mode.  With no pins this is the engine's
+    default for control actors, so an actor steering kernels with
+    different mode names sends each a mode it declares. *)
+
 val const_duration : float -> 'a ctx -> float
 
 val produce_at_rates : 'a ctx -> (int -> int -> 'a Token.t) -> (int * 'a Token.t list) list

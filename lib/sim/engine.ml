@@ -190,24 +190,8 @@ type 'a t = {
   exporter : Om.Exporter.t option; (* TPDF_METRICS_OUT *)
 }
 
-let first_mode graph kernel =
-  match Tpdf.Graph.modes graph kernel with
-  | m :: _ -> m.Tpdf.Mode.name
-  | [] -> "default"
-
 let default_behavior graph actor default =
-  if Tpdf.Graph.is_control graph actor then
-    (* Emit the first declared mode of each target kernel; when several
-       targets disagree the first channel's target wins — explicit
-       behaviours should be given in that case. *)
-    let skel = Tpdf.Graph.skeleton graph in
-    let target_mode =
-      match Csdf.Graph.out_channels skel actor with
-      | (e : (string, Csdf.Graph.channel) Digraph.edge) :: _ ->
-          first_mode graph e.dst
-      | [] -> "default"
-    in
-    Behavior.emit_mode (fun _ -> target_mode)
+  if Tpdf.Graph.is_control graph actor then Behavior.scenario_control graph []
   else Behavior.fill default
 
 let ch_track ch = "e" ^ string_of_int ch
@@ -280,7 +264,7 @@ let compile ~graph ~valuation =
       chan_capacity.(e.id) <-
         Tpdf.Buffers.capacity_hint ~cons:c.Csdf.Concrete.cons
           ~prod:c.Csdf.Concrete.prod ~init:e.label.init;
-      if is_ctrl_chan.(e.id) then init_mode.(e.id) <- first_mode graph e.dst)
+      if is_ctrl_chan.(e.id) then init_mode.(e.id) <- Behavior.first_mode graph e.dst)
     channels;
   let phases = Array.map (fun a -> Csdf.Graph.phases skel a) actor_names in
   let is_ctrl_actor =

@@ -314,21 +314,7 @@ let starved_actors graph scenario =
   done;
   List.filter (Hashtbl.mem starved) (Tpdf.Graph.actors graph)
 
-(* A behaviour for a control actor that emits, on each control channel, the
-   mode [scenario] pins that channel's destination kernel to. *)
-let scenario_control_behavior graph scenario =
-  let skel = Tpdf.Graph.skeleton graph in
-  let mode_for ch =
-    let e = Csdf.Graph.channel skel ch in
-    match List.assoc_opt e.Digraph.dst scenario with
-    | Some name -> name
-    | None -> (
-        match Tpdf.Graph.modes graph e.Digraph.dst with
-        | m :: _ -> m.Tpdf.Mode.name
-        | [] -> "default")
-  in
-  Behavior.make (fun ctx ->
-      Behavior.produce_at_rates ctx (fun ch _ -> Token.Ctrl (mode_for ch)))
+let scenario_control_behavior = Behavior.scenario_control
 
 let run_scenarios ~graph ?backend ?(obs = Obs.disabled) ?(behaviors = [])
     ?(iterations = 1) ?(txn = false) ~valuation ~default scenarios =

@@ -87,14 +87,11 @@ val validate_scenario : Tpdf_core.Graph.t -> scenario -> unit
     kernel does not declare.  Called by {!starved_actors} and
     {!run_scenarios}. *)
 
-val scenario_control_behavior :
-  Tpdf_core.Graph.t -> scenario -> 'a Behavior.t
-(** A control-actor behaviour that emits, on each control channel, the mode
-    the scenario pins that channel's destination kernel to (the kernel's
-    first declared mode when unpinned).  This is what {!run_scenarios}
-    installs on control actors without an explicit behaviour; exposed so
-    supervisors can steer kernels into a degraded mode through the model's
-    own control machinery. *)
+val scenario_control_behavior : Tpdf_core.Graph.t -> scenario -> 'a Behavior.t
+(** {!Behavior.scenario_control}: what {!run_scenarios} installs on control
+    actors without an explicit behaviour, and how supervisors steer
+    kernels into a degraded mode through the model's own control
+    machinery. *)
 
 val starved_actors : Tpdf_core.Graph.t -> scenario -> string list
 (** Actors that cannot fire under the scenario because a pinned mode

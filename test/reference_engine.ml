@@ -138,24 +138,8 @@ type 'a t = {
 }
 
 
-let first_mode graph kernel =
-  match Tpdf.Graph.modes graph kernel with
-  | m :: _ -> m.Tpdf.Mode.name
-  | [] -> "default"
-
 let default_behavior graph actor default =
-  if Tpdf.Graph.is_control graph actor then
-    (* Emit the first declared mode of each target kernel; when several
-       targets disagree the first channel's target wins — explicit
-       behaviours should be given in that case. *)
-    let skel = Tpdf.Graph.skeleton graph in
-    let target_mode =
-      match Csdf.Graph.out_channels skel actor with
-      | (e : (string, Csdf.Graph.channel) Digraph.edge) :: _ ->
-          first_mode graph e.dst
-      | [] -> "default"
-    in
-    Behavior.emit_mode (fun _ -> target_mode)
+  if Tpdf.Graph.is_control graph actor then Behavior.scenario_control graph []
   else Behavior.fill default
 
 let queue t ch = Hashtbl.find t.queues ch
@@ -205,7 +189,7 @@ let create ~graph ~valuation ?init_token ?(behaviors = [])
         | None ->
             fun _ ->
               if Tpdf.Graph.is_control_channel graph e.id then
-                Token.Ctrl (first_mode graph e.dst)
+                Token.Ctrl (Behavior.first_mode graph e.dst)
               else Token.Data default
       in
       for i = 0 to e.label.init - 1 do
@@ -222,7 +206,7 @@ let create ~graph ~valuation ?init_token ?(behaviors = [])
       Hashtbl.replace count a 0;
       Hashtbl.replace completed a 0;
       Hashtbl.replace busy a false;
-      Hashtbl.replace last_mode a (first_mode graph a))
+      Hashtbl.replace last_mode a (Behavior.first_mode graph a))
     (Tpdf.Graph.actors graph);
   {
     graph;

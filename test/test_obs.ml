@@ -560,35 +560,73 @@ let test_openmetrics_render () =
     "# EOF"
     (List.nth lines (List.length lines - 1))
 
+(* What `tpdf_tool profile fig2 -p p=2 -i N --openmetrics` exports (4 PEs
+   is the command's default). *)
+let profile_exposition iterations =
+  let { Examples.graph = g; _ } = Examples.fig2 () in
+  let obs =
+    Tpdf_apps.Profile.run ~graph:g ~valuation:(Valuation.of_list [ ("p", 2) ])
+      ~pes:4 ~iterations ()
+  in
+  Openmetrics.render (Obs.metrics obs)
+
+(* The exposition is well formed after any amount of work — "# EOF" last,
+   one TYPE line per family, no duplicate series, not empty — holds a
+   family from each analysis, the scheduler and the simulation, and every
+   counter is still there, never smaller, after more work. *)
 let test_openmetrics_no_duplicate_series () =
-  let obs = Obs.create () in
-  ignore (fig2_run ~obs ~iterations:2 ());
-  let lines =
-    String.split_on_char '\n'
-      (String.trim (Openmetrics.render (Obs.metrics obs)))
+  let samples text =
+    let lines = String.split_on_char '\n' (String.trim text) in
+    Alcotest.(check string) "EOF terminator" "# EOF" (List.nth lines (List.length lines - 1));
+    let families =
+      List.filter_map
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ "#"; "TYPE"; family; _ ] -> Some family
+          | _ -> None)
+        lines
+    in
+    Alcotest.(check int) "one TYPE line per family"
+      (List.length families)
+      (List.length (List.sort_uniq compare families));
+    List.iter
+      (fun f ->
+        Alcotest.(check bool) (f ^ " exported") true (List.mem f families))
+      [
+        "tpdf_analysis_repetition_ms"; "tpdf_liveness_checks";
+        "tpdf_mcr_oracle_calls"; "tpdf_mcr_period_ms"; "tpdf_sched_assignments";
+        "tpdf_sched_assignments_pe3"; "tpdf_sched_ready_queue";
+        "tpdf_sched_pe_idle_ms"; "tpdf_throughput_period_ms";
+        "tpdf_engine_firings"; "tpdf_engine_reconfigurations";
+      ];
+    let samples =
+      List.filter_map
+        (fun l ->
+          if l = "" || l.[0] = '#' then None
+          else
+            let i = String.rindex l ' ' in
+            Some (String.sub l 0 i, float_of_string (String.sub l (i + 1) (String.length l - i - 1))))
+        lines
+    in
+    Alcotest.(check bool) "non-empty exposition" true (samples <> []);
+    Alcotest.(check int) "no duplicate series"
+      (List.length samples)
+      (List.length (List.sort_uniq compare (List.map fst samples)));
+    samples
   in
-  Alcotest.(check bool) "non-trivial exposition" true (List.length lines > 8);
-  let series =
-    List.filter_map
-      (fun l ->
-        if l = "" || l.[0] = '#' then None
-        else
-          match String.index_opt l ' ' with
-          | Some i -> Some (String.sub l 0 i)
-          | None -> Some l)
-      lines
+  let short = samples (profile_exposition 1) and long = samples (profile_exposition 3) in
+  let counters =
+    List.filter
+      (fun (k, _) -> String.ends_with ~suffix:"_total" (List.hd (String.split_on_char '{' k)))
+      short
   in
-  let sorted = List.sort compare series in
-  let rec dup = function
-    | a :: b :: _ when a = b -> Some a
-    | _ :: tl -> dup tl
-    | [] -> None
-  in
-  (match dup sorted with
-  | Some s -> Alcotest.fail ("duplicate series: " ^ s)
-  | None -> ());
-  Alcotest.(check string) "EOF terminator" "# EOF"
-    (List.nth lines (List.length lines - 1))
+  Alcotest.(check bool) "counter series exported" true (counters <> []);
+  List.iter
+    (fun (k, v) ->
+      match List.assoc_opt k long with
+      | None -> Alcotest.failf "counter %s vanished in the longer run" k
+      | Some v' -> if v' < v then Alcotest.failf "counter %s not monotone: %g -> %g" k v v')
+    counters
 
 let test_openmetrics_exporter () =
   let m = Metrics.create () in

@@ -293,6 +293,18 @@ let test_select_duplicate_runtime () =
   Alcotest.(check int) "E idle" 0 (List.assoc "E" stats.Engine.firings);
   Alcotest.(check int) "F followed" 3 (List.assoc "F" stats.Engine.firings)
 
+(* Without explicit behaviours, C sends each of B and F a mode of its own
+   (B's and F's first): a control actor must not send one target's mode
+   name to another target with different modes. *)
+let test_fig3_default_behaviors () =
+  let eng =
+    Engine.create ~graph:(Examples.fig3 ()) ~valuation:Valuation.empty ~default:0 ()
+  in
+  let stats = Engine.run ~iterations:3 ~targets:[ ("E", 0) ] eng in
+  Alcotest.(check int) "D fired" 3 (List.assoc "D" stats.Engine.firings);
+  Alcotest.(check int) "E idle" 0 (List.assoc "E" stats.Engine.firings);
+  Alcotest.(check int) "F followed" 3 (List.assoc "F" stats.Engine.firings)
+
 let test_output_subset_suppresses_branch () =
   (* SRC --ctrl--> DUP with two output branches; mode selects one: the
      other branch's kernel must never fire and needs no tokens. *)
@@ -519,6 +531,7 @@ let () =
       ( "modes",
         [
           Alcotest.test_case "fig3 validation" `Quick test_select_duplicate_runtime;
+          Alcotest.test_case "fig3 default behaviours" `Quick test_fig3_default_behaviors;
           Alcotest.test_case "output subset" `Quick test_output_subset_suppresses_branch;
           Alcotest.test_case "mode persistence" `Quick test_mode_persists_when_control_rate_zero;
         ] );
