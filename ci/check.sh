@@ -116,6 +116,20 @@ dune exec bin/tpdf_tool.exe -- analyze "$bad_dir/cycle.tpdf" --param p=8 \
 dune exec bin/tpdf_tool.exe -- analyze "$bad_dir/cycle.tpdf" --param p=7 \
   | grep -q 'live=true'
 
+# The commands that run the iteration walker (Schedule, Bounded, Sas) and
+# the ADF (Canonical_period, Mcr) must print the paper's results: the
+# SAS and late schedules of Fig. 1 and Fig. 4(b), Fig. 1's minimal
+# buffers, and the canonical period of Fig. 5.
+echo "== smoke: tpdf_tool throughput / liveness / buffers / schedule =="
+dune exec bin/tpdf_tool.exe -- throughput fig1 \
+  | grep -qF 'single-appearance schedule: (a3)^2 (a1)^3 (a2)^2'
+dune exec bin/tpdf_tool.exe -- liveness fig4b -p p=3 \
+  | grep -qF 'local schedule B (C)^2 B'
+dune exec bin/tpdf_tool.exe -- buffers fig1 --minimize \
+  | grep -qF 'total: 5 (0 relaxation(s))'
+dune exec bin/tpdf_tool.exe -- schedule fig2 -p p=1 \
+  | grep -qF 'canonical period: 10 firings, 15 dependencies'
+
 # Crash-recovery smoke: a chaos run killed mid-flight must exit 3 and
 # leave a resumable checkpoint; resuming must reproduce the
 # uninterrupted run's stdout byte for byte.

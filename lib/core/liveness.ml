@@ -83,8 +83,6 @@ let check ?(obs = Obs.disabled) g valuation =
       end;
       { valuation; cycles; live; stuck })
 
-let check_samples g vs = List.map (check g) vs
-
 let is_live g v = (check g v).live
 
 let fresh_name skel base =

@@ -40,8 +40,6 @@ val check : ?obs:Tpdf_obs.Obs.t -> Graph.t -> Valuation.t -> report
     records a wall-clock ["liveness.check"] span and solver counters
     (cycles checked, abstract firings, deadlocks). *)
 
-val check_samples : Graph.t -> Valuation.t list -> report list
-
 val is_live : Graph.t -> Valuation.t -> bool
 
 val default_samples : Graph.t -> Valuation.t list

@@ -10,97 +10,10 @@ let lower_bound conc id =
   max ch.Concrete.init (max (amax ch.Concrete.prod) (amax ch.Concrete.cons))
 
 let run conc ~capacities =
-  let g = Concrete.graph conc in
-  let actors = Graph.actors g in
-  let tokens = Hashtbl.create 16 and max_occ = Hashtbl.create 16 in
-  List.iter
-    (fun (e : (string, Graph.channel) Digraph.edge) ->
-      if capacities e.id < e.label.init then
-        invalid_arg
-          (Printf.sprintf
-             "Bounded.run: capacity %d of e%d below its %d initial tokens"
-             (capacities e.id) e.id e.label.init);
-      Hashtbl.replace tokens e.id e.label.init;
-      Hashtbl.replace max_occ e.id e.label.init)
-    (Graph.channels g);
-  let count = Hashtbl.create 16 in
-  List.iter (fun a -> Hashtbl.replace count a 0) actors;
-  let phase a = Hashtbl.find count a mod Graph.phases g a in
-  let input_ready a =
-    List.for_all
-      (fun (e : (string, Graph.channel) Digraph.edge) ->
-        Hashtbl.find tokens e.id
-        >= (Concrete.chan conc e.id).Concrete.cons.(phase a))
-      (Graph.in_channels g a)
-  in
-  (* Output channels too full for this firing. *)
-  let blocking_outputs a =
-    List.filter_map
-      (fun (e : (string, Graph.channel) Digraph.edge) ->
-        let prod = (Concrete.chan conc e.id).Concrete.prod.(phase a) in
-        if Hashtbl.find tokens e.id + prod > capacities e.id then Some e.id
-        else None)
-      (Graph.out_channels g a)
-  in
-  let fire a =
-    let ph = phase a in
-    List.iter
-      (fun (e : (string, Graph.channel) Digraph.edge) ->
-        Hashtbl.replace tokens e.id
-          (Hashtbl.find tokens e.id - (Concrete.chan conc e.id).Concrete.cons.(ph)))
-      (Graph.in_channels g a);
-    List.iter
-      (fun (e : (string, Graph.channel) Digraph.edge) ->
-        let t = Hashtbl.find tokens e.id + (Concrete.chan conc e.id).Concrete.prod.(ph) in
-        Hashtbl.replace tokens e.id t;
-        if t > Hashtbl.find max_occ e.id then Hashtbl.replace max_occ e.id t)
-      (Graph.out_channels g a);
-    Hashtbl.replace count a (Hashtbl.find count a + 1)
-  in
-  let target a = Concrete.q conc a in
-  let total = List.fold_left (fun acc a -> acc + target a) 0 actors in
-  let fired = ref 0 and stalled = ref false in
-  while (not !stalled) && !fired < total do
-    let runnable =
-      List.filter
-        (fun a ->
-          Hashtbl.find count a < target a
-          && input_ready a
-          && blocking_outputs a = [])
-        actors
-    in
-    match runnable with
-    | a :: _ ->
-        fire a;
-        incr fired
-    | [] -> stalled := true
-  done;
-  if !fired = total then
-    Fits
-      {
-        max_occupancy =
-          List.map
-            (fun (e : (string, Graph.channel) Digraph.edge) ->
-              (e.id, Hashtbl.find max_occ e.id))
-            (Graph.channels g);
-      }
-  else begin
-    (* Channels whose fullness blocks an actor that is otherwise ready. *)
-    let full =
-      List.concat_map
-        (fun a ->
-          if Hashtbl.find count a < target a && input_ready a then
-            blocking_outputs a
-          else [])
-        actors
-    in
-    Blocked
-      {
-        full_channels = List.sort_uniq compare full;
-        stuck =
-          List.filter (fun a -> Hashtbl.find count a < target a) actors;
-      }
-  end
+  let w = Walk.create ~capacities conc in
+  match Walk.run w with
+  | _, [] -> Fits { max_occupancy = Walk.max_occupancy w }
+  | _, stuck -> Blocked { full_channels = Walk.full_channels w stuck; stuck }
 
 type report = {
   capacities : (int * int) list;

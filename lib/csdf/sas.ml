@@ -1,50 +1,16 @@
-module Digraph = Tpdf_graph.Digraph
-
 type t = (string * int) list
 
-(* Replay bursts over the token state; None on underflow. *)
+(* Replay bursts from the initial state; false on underflow. *)
 let replay conc bursts =
-  let g = Concrete.graph conc in
-  let tokens = Hashtbl.create 16 in
-  List.iter
-    (fun (e : (string, Graph.channel) Digraph.edge) ->
-      Hashtbl.replace tokens e.id e.label.init)
-    (Graph.channels g);
-  let count = Hashtbl.create 16 in
-  List.iter (fun a -> Hashtbl.replace count a 0) (Graph.actors g);
-  let fire_once a =
-    let n = Hashtbl.find count a in
-    let phase = n mod Graph.phases g a in
-    let ok =
-      List.for_all
-        (fun (e : (string, Graph.channel) Digraph.edge) ->
-          Hashtbl.find tokens e.id
-          >= (Concrete.chan conc e.id).Concrete.cons.(phase))
-        (Graph.in_channels g a)
-    in
-    if not ok then false
-    else begin
-      List.iter
-        (fun (e : (string, Graph.channel) Digraph.edge) ->
-          Hashtbl.replace tokens e.id
-            (Hashtbl.find tokens e.id - (Concrete.chan conc e.id).Concrete.cons.(phase)))
-        (Graph.in_channels g a);
-      List.iter
-        (fun (e : (string, Graph.channel) Digraph.edge) ->
-          Hashtbl.replace tokens e.id
-            (Hashtbl.find tokens e.id + (Concrete.chan conc e.id).Concrete.prod.(phase)))
-        (Graph.out_channels g a);
-      Hashtbl.replace count a (n + 1);
-      true
-    end
-  in
-  let rec bursts_ok = function
-    | [] -> Some count
-    | (a, n) :: rest ->
-        let rec go i = i >= n || (fire_once a && go (i + 1)) in
-        if go 0 then bursts_ok rest else None
-  in
-  bursts_ok bursts
+  let w = Walk.create conc in
+  List.for_all
+    (fun (a, n) ->
+      let i = Walk.actor w a in
+      let rec go k =
+        k >= n || (Walk.enabled w i && (ignore (Walk.fire w i); go (k + 1)))
+      in
+      go 0)
+    bursts
 
 let is_valid conc bursts =
   (* every actor exactly once, with its full repetition count *)
@@ -52,7 +18,7 @@ let is_valid conc bursts =
   let names = List.map fst bursts in
   List.sort compare names = List.sort compare actors
   && List.for_all (fun (a, n) -> n = Concrete.q conc a) bursts
-  && replay conc bursts <> None
+  && replay conc bursts
 
 (* Greedy search: repeatedly pick an actor whose whole burst can fire now.
    Complete-burst firing is monotone in the same way single firings are,
@@ -71,7 +37,7 @@ let find conc =
       in
       let try_actor a =
         let bursts = List.rev ((a, Concrete.q conc a) :: acc) in
-        if replay conc bursts <> None then
+        if replay conc bursts then
           search (a :: done_) ((a, Concrete.q conc a) :: acc)
         else None
       in

@@ -1,8 +1,5 @@
-module Digraph = Tpdf_graph.Digraph
-
-type policy = Eager | Late_first | Min_buffer
-
-type firing = { actor : string; phase : int; index : int }
+type policy = Walk.policy = Eager | Late_first | Min_buffer
+type firing = Walk.firing = { actor : string; phase : int; index : int }
 
 type trace = {
   firings : firing list;
@@ -14,158 +11,18 @@ type outcome =
   | Complete of trace
   | Deadlock of { fired : firing list; stuck : string list }
 
-type state = {
-  tokens : (int, int) Hashtbl.t; (* channel id -> current tokens *)
-  count : (string, int) Hashtbl.t; (* actor -> completed firings *)
-  max_occ : (int, int) Hashtbl.t;
-}
-
-let init_state c =
-  let tokens = Hashtbl.create 16 and max_occ = Hashtbl.create 16 in
-  List.iter
-    (fun (e : (string, Graph.channel) Digraph.edge) ->
-      Hashtbl.replace tokens e.id e.label.init;
-      Hashtbl.replace max_occ e.id e.label.init)
-    (Graph.channels (Concrete.graph c));
-  let count = Hashtbl.create 16 in
-  List.iter
-    (fun a -> Hashtbl.replace count a 0)
-    (Graph.actors (Concrete.graph c));
-  { tokens; count; max_occ }
-
-let enabled act c st a =
-  let g = Concrete.graph c in
-  let n = Hashtbl.find st.count a in
-  let phase = n mod Graph.phases g a in
-  List.for_all
-    (fun (e : (string, Graph.channel) Digraph.edge) ->
-      (not (act e.id))
-      ||
-      let ch = Concrete.chan c e.id in
-      Hashtbl.find st.tokens e.id >= ch.cons.(phase))
-    (Graph.in_channels g a)
-
-let fire act c st a =
-  let g = Concrete.graph c in
-  let n = Hashtbl.find st.count a in
-  let phase = n mod Graph.phases g a in
-  List.iter
-    (fun (e : (string, Graph.channel) Digraph.edge) ->
-      if act e.id then
-        let ch = Concrete.chan c e.id in
-        Hashtbl.replace st.tokens e.id
-          (Hashtbl.find st.tokens e.id - ch.cons.(phase)))
-    (Graph.in_channels g a);
-  List.iter
-    (fun (e : (string, Graph.channel) Digraph.edge) ->
-      if act e.id then begin
-        let ch = Concrete.chan c e.id in
-        let t = Hashtbl.find st.tokens e.id + ch.prod.(phase) in
-        Hashtbl.replace st.tokens e.id t;
-        if t > Hashtbl.find st.max_occ e.id then
-          Hashtbl.replace st.max_occ e.id t
-      end)
-    (Graph.out_channels g a);
-  Hashtbl.replace st.count a (n + 1);
-  { actor = a; phase; index = n }
-
-(* Net token delta of firing [a] in its current phase (for Min_buffer). *)
-let firing_delta act c st a =
-  let g = Concrete.graph c in
-  let n = Hashtbl.find st.count a in
-  let phase = n mod Graph.phases g a in
-  let rate field acc (e : (string, Graph.channel) Digraph.edge) =
-    if act e.id then acc + field (Concrete.chan c e.id) phase else acc
-  in
-  let consumed =
-    List.fold_left (rate (fun ch i -> ch.Concrete.cons.(i))) 0 (Graph.in_channels g a)
-  in
-  let produced =
-    List.fold_left (rate (fun ch i -> ch.Concrete.prod.(i))) 0 (Graph.out_channels g a)
-  in
-  produced - consumed
-
-let run ?(policy = Eager) ?(iterations = 1) ?targets
-    ?(active_channel = fun _ -> true) c =
+let run ?policy ?(iterations = 1) ?targets ?active_channel c =
   if iterations < 1 then invalid_arg "Schedule.run: iterations must be >= 1";
-  let g = Concrete.graph c in
-  let actors = Graph.actors g in
-  let base_target a =
-    match targets with
-    | None -> Concrete.q c a
-    | Some l -> ( match List.assoc_opt a l with Some n -> n | None -> 0)
-  in
-  let target a = iterations * base_target a in
-  let act = active_channel in
-  let st = init_state c in
-  let total = List.fold_left (fun acc a -> acc + target a) 0 actors in
-  let fired = ref [] in
-  let n_fired = ref 0 in
-  let stalled = ref false in
-  let last = ref None in
-  while (not !stalled) && !n_fired < total do
-    let candidates =
-      List.filter
-        (fun a -> Hashtbl.find st.count a < target a && enabled act c st a)
-        actors
-    in
-    let choice =
-      match (policy, candidates) with
-      | _, [] -> None
-      | Eager, a :: _ -> Some a
-      | Late_first, _ -> (
-          (* Late-schedule heuristic (ref [8] of the paper): keep firing
-             the current actor while it can, otherwise switch to the actor
-             with the most remaining firings.  Reproduces (a3)^2(a1)^3(a2)^2
-             for Fig. 1 and the late schedule (B C C B) for Fig. 4(b). *)
-          match !last with
-          | Some a when List.mem a candidates -> Some a
-          | _ ->
-              let remaining a = target a - Hashtbl.find st.count a in
-              Some
-                (List.fold_left
-                   (fun best a ->
-                     if remaining a > remaining best then a else best)
-                   (List.hd candidates) (List.tl candidates)))
-      | Min_buffer, _ ->
-          let delta = firing_delta act c st in
-          Some
-            (List.fold_left
-               (fun best a -> if delta a < delta best then a else best)
-               (List.hd candidates) (List.tl candidates))
-    in
-    match choice with
-    | None -> stalled := true
-    | Some a ->
-        fired := fire act c st a :: !fired;
-        last := Some a;
-        incr n_fired
-  done;
-  if !stalled then
-    Deadlock
-      {
-        fired = List.rev !fired;
-        stuck =
-          List.filter (fun a -> Hashtbl.find st.count a < target a) actors;
-      }
-  else
-    let returned =
-      List.for_all
-        (fun (e : (string, Graph.channel) Digraph.edge) ->
-          (not (act e.id)) || Hashtbl.find st.tokens e.id = e.label.init)
-        (Graph.channels g)
-    in
-    Complete
-      {
-        firings = List.rev !fired;
-        max_occupancy =
-          List.filter_map
-            (fun (e : (string, Graph.channel) Digraph.edge) ->
-              if act e.id then Some (e.id, Hashtbl.find st.max_occ e.id)
-              else None)
-            (Graph.channels g);
-        returned_to_initial = returned;
-      }
+  let w = Walk.create ?active_channel c in
+  match Walk.run ?policy ~iterations ?targets w with
+  | firings, [] ->
+      Complete
+        {
+          firings;
+          max_occupancy = Walk.max_occupancy w;
+          returned_to_initial = Walk.returned_to_initial w;
+        }
+  | fired, stuck -> Deadlock { fired; stuck }
 
 let is_live c = match run c with Complete _ -> true | Deadlock _ -> false
 

@@ -14,9 +14,9 @@
       total channel occupancy, a standard heuristic for buffer-efficient
       single-processor schedules. *)
 
-type policy = Eager | Late_first | Min_buffer
+type policy = Walk.policy = Eager | Late_first | Min_buffer
 
-type firing = {
+type firing = Walk.firing = {
   actor : string;
   phase : int;  (** phase executed, [index mod τ] *)
   index : int;  (** 0-based firing count of this actor *)

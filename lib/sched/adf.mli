@@ -7,6 +7,17 @@
     canonical-period expansion (§III-D) and the suppression of unnecessary
     firings when a mode rejects an input. *)
 
+val producer :
+  Tpdf_csdf.Concrete.t -> channel:int -> consumer_index:int -> (int * int) option
+(** [producer conc ~channel ~consumer_index:n] is [Some (m, d)] when, in
+    every iteration, the n-th (0-based) firing of the consumer needs the
+    m-th firing of the producer [d] iterations earlier: [d = 0] is the same
+    iteration, and [d > 0] means the initial tokens cover this need in the
+    first [d] iterations.  [None] when the producer emits nothing per
+    iteration, so that only initial tokens ever feed this firing.  For a
+    consumer firing of one iteration, [0 <= m < q] of the producer.
+    @raise Not_found on a bad channel id. *)
+
 val producer_firing :
   Tpdf_csdf.Concrete.t -> channel:int -> consumer_index:int -> int option
 (** [producer_firing conc ~channel ~consumer_index:n] is [Some m] when the

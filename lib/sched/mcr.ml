@@ -3,26 +3,20 @@ module Digraph = Tpdf_graph.Digraph
 module Obs = Tpdf_obs.Obs
 module Metrics = Tpdf_obs.Metrics
 
-type node = { actor : string; index : int }
+type node = Canonical_period.node = { actor : string; index : int }
 
 type edge = { src : node; dst : node; delay : int }
 
+(* The expansion as dense arrays: the Bellman-Ford oracle runs tens of
+   times per binary search (each with up to |V| relaxation rounds), so
+   node identities are resolved to integers once here. *)
 type t = {
-  node_list : node list;
-  edge_list : edge list;
-  (* The same expansion compiled to dense arrays at [build] time: the
-     Bellman-Ford oracle runs tens of times per binary search (each with
-     up to |V| relaxation rounds), so node identities are resolved to
-     integers once here instead of through a hashtable on every edge of
-     every round. *)
   node_arr : node array;
   edge_arr : edge array;
-  edge_src : int array;  (* index into node_arr *)
+  edge_src : int array; (* index into node_arr *)
   edge_dst : int array;
   edge_delay : int array;
 }
-
-let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 
 let build ?(obs = Obs.disabled) conc =
   Obs.wall_span obs ~cat:"sched" "mcr.build" @@ fun () ->
@@ -34,88 +28,60 @@ let build ?(obs = Obs.disabled) conc =
         (Printf.sprintf "Mcr.build: graph is not live (stuck: %s)"
            (String.concat ", " stuck)));
   let q = Csdf.Concrete.q conc in
-  let node_list =
-    List.concat_map
-      (fun a -> List.init (q a) (fun index -> { actor = a; index }))
-      (Csdf.Graph.actors g)
-  in
+  let actors = Csdf.Graph.actors g in
   let edges = ref [] in
+  let add src m dst j delay =
+    edges :=
+      { src = { actor = src; index = m }; dst = { actor = dst; index = j }; delay }
+      :: !edges
+  in
   (* Sequential self-order with an iteration wrap-around. *)
   List.iter
     (fun a ->
-      let n = q a in
-      for i = 1 to n - 1 do
-        edges :=
-          { src = { actor = a; index = i - 1 }; dst = { actor = a; index = i }; delay = 0 }
-          :: !edges
+      for i = 1 to q a - 1 do
+        add a (i - 1) a i 0
       done;
-      edges :=
-        { src = { actor = a; index = n - 1 }; dst = { actor = a; index = 0 }; delay = 1 }
-        :: !edges)
-    (Csdf.Graph.actors g);
-  (* Data dependencies, with iteration delays. *)
+      add a (q a - 1) a 0 1)
+    actors;
+  (* Data dependencies, with iteration delays, from the ADF. *)
   List.iter
     (fun (e : (string, Csdf.Graph.channel) Digraph.edge) ->
-      let ch = Csdf.Concrete.chan conc e.id in
-      let q_prod = q e.src and q_cons = q e.dst in
-      let per_iter = Csdf.Concrete.cumulative ch.Csdf.Concrete.prod q_prod in
-      if per_iter > 0 then
-        for j = 0 to q_cons - 1 do
-          let base =
-            Csdf.Concrete.cumulative ch.Csdf.Concrete.cons (j + 1)
-            - ch.Csdf.Concrete.init
-          in
-          (* Smallest iteration k0 >= 0 at which this firing's needs are not
-             covered by initial tokens alone. *)
-          let k0 =
-            if base > 0 then 0
-            else 1 + (fdiv (-base) per_iter)
-          in
-          let needed = base + (k0 * per_iter) in
-          if needed > 0 then begin
-            let n0 = Csdf.Concrete.firings_needed ch.Csdf.Concrete.prod needed in
-            (* absolute producer firing index relative to the consumer's
-               iteration: P(k) = k*q_prod + c *)
-            let c = n0 - 1 - (k0 * q_prod) in
-            let m = c - (fdiv c q_prod * q_prod) in
-            let delay = -fdiv c q_prod in
-            if delay >= 0 then
-              edges :=
-                {
-                  src = { actor = e.src; index = m };
-                  dst = { actor = e.dst; index = j };
-                  delay;
-                }
-                :: !edges
-          end
-        done)
+      for j = 0 to q e.dst - 1 do
+        match Adf.producer conc ~channel:e.id ~consumer_index:j with
+        | Some (m, delay) -> add e.src m e.dst j delay
+        | None -> ()
+      done)
     (Csdf.Graph.channels g);
-  let edge_list = List.sort_uniq compare !edges in
-  let node_arr = Array.of_list node_list in
-  let idx = Hashtbl.create (2 * Array.length node_arr) in
-  Array.iteri (fun i n -> Hashtbl.replace idx n i) node_arr;
-  let edge_arr = Array.of_list edge_list in
+  let node_arr =
+    Array.of_list
+      (List.concat_map
+         (fun a -> List.init (q a) (fun index -> { actor = a; index }))
+         actors)
+  in
+  (* Node [{actor; index}] sits at its actor's offset plus [index]. *)
+  let offset = Hashtbl.create 16 in
+  Array.iteri
+    (fun i n -> if n.index = 0 then Hashtbl.replace offset n.actor i)
+    node_arr;
+  let slot n = Hashtbl.find offset n.actor + n.index in
+  let edge_arr = Array.of_list (List.sort_uniq compare !edges) in
   let t =
     {
-      node_list;
-      edge_list;
       node_arr;
       edge_arr;
-      edge_src = Array.map (fun e -> Hashtbl.find idx e.src) edge_arr;
-      edge_dst = Array.map (fun e -> Hashtbl.find idx e.dst) edge_arr;
+      edge_src = Array.map (fun e -> slot e.src) edge_arr;
+      edge_dst = Array.map (fun e -> slot e.dst) edge_arr;
       edge_delay = Array.map (fun e -> e.delay) edge_arr;
     }
   in
   if Obs.enabled obs then begin
     let m = Obs.metrics obs in
-    Metrics.set_gauge m "mcr.nodes" (float_of_int (List.length t.node_list));
-    Metrics.set_gauge m "mcr.edges" (float_of_int (List.length t.edge_list))
+    Metrics.set_gauge m "mcr.nodes" (float_of_int (Array.length node_arr));
+    Metrics.set_gauge m "mcr.edges" (float_of_int (Array.length edge_arr))
   end;
   t
 
-let nodes t = t.node_list
-
-let edges t = t.edge_list
+let edges t = Array.to_list t.edge_arr
 
 (* Positive-cycle oracle: is there a cycle with
    sum (dur(src) - lambda * delay) > 0 ?  Bellman-Ford longest-path
@@ -143,9 +109,6 @@ let bellman t w =
   done;
   !rounds > n
 
-let has_positive_cycle t weight =
-  bellman t (Array.init (Array.length t.edge_arr) (fun i -> weight t.edge_arr.(i)))
-
 let iteration_period_ms ?(durations = fun _ -> 1.0) ?(obs = Obs.disabled) t =
   Obs.wall_span obs ~cat:"sched" "mcr.solve" @@ fun () ->
   let oracle_calls = ref 0 in
@@ -159,7 +122,7 @@ let iteration_period_ms ?(durations = fun _ -> 1.0) ?(obs = Obs.disabled) t =
     bellman t (Array.init ne (fun i -> src_dur.(i) -. (lambda *. delay_f.(i))))
   in
   let hi0 =
-    List.fold_left (fun acc n -> acc +. Float.max 0.0 (durations n)) 1.0 t.node_list
+    Array.fold_left (fun acc n -> acc +. Float.max 0.0 (durations n)) 1.0 t.node_arr
   in
   let result =
     if not (oracle 0.0) then 0.0

@@ -14,7 +14,7 @@
     cycle oracle.  Every real schedule's steady-state period is ≥ MCR, so
     {!Throughput.iteration_period_ms} is validated against it. *)
 
-type node = { actor : string; index : int }
+type node = Canonical_period.node = { actor : string; index : int }
 
 type edge = {
   src : node;
@@ -30,15 +30,7 @@ val build : ?obs:Tpdf_obs.Obs.t -> Tpdf_csdf.Concrete.t -> t
     [obs], the expansion is timed as a wall-clock ["mcr.build"] span and
     the node/edge counts are recorded as gauges. *)
 
-val nodes : t -> node list
 val edges : t -> edge list
-
-val has_positive_cycle : t -> (edge -> float) -> bool
-(** The Bellman-Ford oracle itself: does any cycle have positive total
-    weight under the given edge weighting?  Runs over dense arrays
-    compiled at {!build} (edge weights are evaluated once, then each
-    relaxation round is pure array arithmetic).  Exposed for tests and
-    for callers with their own cycle questions. *)
 
 val iteration_period_ms :
   ?durations:(node -> float) -> ?obs:Tpdf_obs.Obs.t -> t -> float

@@ -33,7 +33,8 @@ val check :
   unit ->
   outcome
 (** Run the full ladder: structural validation, complete valuation,
-    rate consistency, rate safety, boundedness (liveness sampled on the
-    submitted valuation), then the [max_cost] token budget and the
-    [deadline_ms] MCR check.  The first failing rung rejects with a
-    one-line reason. *)
+    rate consistency and rate safety (symbolic, whatever the valuation),
+    then the cost (overflow-checked) and the [max_cost] token budget, and
+    only then the rungs that walk one iteration: boundedness (liveness on
+    the submitted valuation) and the [deadline_ms] MCR check.  The first
+    failing rung rejects with a one-line reason. *)

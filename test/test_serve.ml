@@ -214,6 +214,44 @@ let test_admission_rejects () =
     (Adm.check ~graph:(graph_of (Lazy.force fig1))
        ~valuation:(Valuation.of_list []) ~deadline_ms:1.0 ())
 
+(* The cost is priced, overflow-checked, before liveness walks the
+   iteration: these valuations would take that walk forever, or
+   overflow inside it. *)
+let rejected_naming what needle outcome =
+  match outcome with
+  | Adm.Rejected r ->
+      if not (contains r needle) then
+        Alcotest.fail (Printf.sprintf "%s: reason %S does not name %S" what r needle)
+  | Adm.Admitted _ -> Alcotest.fail (what ^ ": admission expected to fail")
+
+let square_chain =
+  "tpdf graph {\n  kernel A;\n  kernel B;\n  kernel C;\n\
+  \  channel e0 = A [p] -> [1] B;\n  channel e1 = B [p] -> [1] C;\n}\n"
+
+let test_admission_overflow () =
+  (* Every entry of q fits in an int at p = 2^61 - 1; their sum does not. *)
+  rejected_naming "fig2 at p = 2^61-1" "overflow"
+    (Adm.check ~graph:(graph_of (Lazy.force fig2))
+       ~valuation:(Valuation.of_list [ ("p", (1 lsl 61) - 1) ]) ());
+  rejected_naming "p^2 chain at p = 2^32" "overflow"
+    (Adm.check ~graph:(graph_of square_chain)
+       ~valuation:(Valuation.of_list [ ("p", 1 lsl 32) ]) ());
+  let d = daemon () in
+  check_code "daemon: p^2 chain at p = 2^32" "inadmissible"
+    (rpc d (submit_req ~name:"sq" square_chain ~params:[ ("p", 1 lsl 32) ]));
+  Alcotest.(check bool) "daemon answers a ping after" true
+    (is_ok (rpc d [ ("id", J.String "p"); ("op", J.String "ping") ]))
+
+let test_admission_budget_before_liveness () =
+  (* Deadlocks at p = 8 (seven initial tokens, eight needed) and costs 9. *)
+  let cycle =
+    "tpdf graph {\n  kernel A;\n  kernel B;\n\
+    \  channel e0 = A [p] -> [1] B;\n  channel e1 = B [1] -> [p] A init=7;\n}\n"
+  in
+  rejected_naming "deadlocked cycle over budget" "budget"
+    (Adm.check ~graph:(graph_of cycle)
+       ~valuation:(Valuation.of_list [ ("p", 8) ]) ~max_cost:5 ())
+
 (* ------------------------------------------------------------------ *)
 (* Protocol errors                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1484,6 +1522,10 @@ let () =
         [
           Alcotest.test_case "admits fig1" `Quick test_admission_ok;
           Alcotest.test_case "rejection ladder" `Quick test_admission_rejects;
+          Alcotest.test_case "overflowing cost rejected" `Quick
+            test_admission_overflow;
+          Alcotest.test_case "budget before liveness" `Quick
+            test_admission_budget_before_liveness;
         ] );
       ( "protocol",
         [
