@@ -20,11 +20,7 @@
 # Usage: ci/netchaos_smoke.sh   (or: make netchaos-smoke)
 set -eu
 cd "$(dirname "$0")/.."
-
-if ! command -v python3 > /dev/null 2>&1; then
-  echo "netchaos-smoke: SKIPPED (python3 needed to JSON-escape graph sources)" >&2
-  exit 1
-fi
+. ci/json.sh
 
 dune build bin/tpdf_tool.exe
 bin=_build/default/bin/tpdf_tool.exe
@@ -37,7 +33,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$bin" export fig1 "$dir/fig1.tpdf" > /dev/null
-graph=$(python3 -c 'import json,sys; print(json.dumps(open(sys.argv[1]).read()))' "$dir/fig1.tpdf")
+graph=$(json_string "$dir/fig1.tpdf")
 
 wait_sock() {
   i=0

@@ -10,11 +10,7 @@
 # Usage: ci/serve_smoke.sh   (or: make serve-smoke)
 set -eu
 cd "$(dirname "$0")/.."
-
-if ! command -v python3 > /dev/null 2>&1; then
-  echo "serve-smoke: SKIPPED (python3 needed to JSON-escape graph sources)" >&2
-  exit 1
-fi
+. ci/json.sh
 
 dune build bin/tpdf_tool.exe
 bin=_build/default/bin/tpdf_tool.exe
@@ -29,33 +25,21 @@ trap cleanup EXIT
 "$bin" export fig1 "$dir/fig1.tpdf" > /dev/null
 "$bin" export fig2 "$dir/fig2.tpdf" > /dev/null
 
-python3 - "$dir" <<'EOF'
-import json, sys
-d = sys.argv[1]
-fig1 = open(d + '/fig1.tpdf').read()
-fig2 = open(d + '/fig2.tpdf').read()
-def w(name, reqs):
-    with open(d + '/' + name, 'w') as f:
-        f.write('\n'.join(json.dumps(r) for r in reqs) + '\n')
-sub = [
-    {"id": "s1", "op": "submit", "name": "alpha", "graph": fig1},
-    {"id": "s2", "op": "submit", "name": "beta", "graph": fig2,
-     "params": {"p": 2}},
-]
-adv1 = [
-    {"id": "a1", "op": "advance", "name": "alpha", "iterations": 2},
-    {"id": "b1", "op": "advance", "name": "beta", "iterations": 2},
-]
-adv2 = [
-    {"id": "a2", "op": "advance", "name": "alpha", "iterations": 3},
-    {"id": "b2", "op": "advance", "name": "beta", "iterations": 3},
-    {"id": "q1", "op": "query", "name": "alpha"},
-    {"id": "q2", "op": "query", "name": "beta"},
-]
-w('phase1.txt', sub + adv1)
-w('phase2.txt', adv2)
-w('golden.txt', sub + adv1 + adv2)
-EOF
+fig1=$(json_string "$dir/fig1.tpdf")
+fig2=$(json_string "$dir/fig2.tpdf")
+printf '%s\n' \
+  '{"id":"s1","op":"submit","name":"alpha","graph":'"$fig1"'}' \
+  '{"id":"s2","op":"submit","name":"beta","graph":'"$fig2"',"params":{"p":2}}' \
+  '{"id":"a1","op":"advance","name":"alpha","iterations":2}' \
+  '{"id":"b1","op":"advance","name":"beta","iterations":2}' \
+  > "$dir/phase1.txt"
+printf '%s\n' \
+  '{"id":"a2","op":"advance","name":"alpha","iterations":3}' \
+  '{"id":"b2","op":"advance","name":"beta","iterations":3}' \
+  '{"id":"q1","op":"query","name":"alpha"}' \
+  '{"id":"q2","op":"query","name":"beta"}' \
+  > "$dir/phase2.txt"
+cat "$dir/phase1.txt" "$dir/phase2.txt" > "$dir/golden.txt"
 
 # Golden transcript: one daemon, never interrupted.
 "$bin" serve "$dir/gsock" --state-dir "$dir/gstate" 2> /dev/null &
@@ -84,42 +68,35 @@ diff "$dir/golden.out" "$dir/run.out"
 # Resident tenants keep their supervisor session across advances: 20
 # single-iteration advances build one session, a reconfigure one more.
 # A deterministic count, read from the daemon's own OpenMetrics export.
-python3 - "$dir" <<'EOF'
-import json, sys
-d = sys.argv[1]
-fig2 = open(d + '/fig2.tpdf').read()
-reqs = [{"id": "s", "op": "submit", "name": "c", "graph": fig2,
-         "params": {"p": 2}}]
-reqs += [{"id": "a%d" % i, "op": "advance", "name": "c", "iterations": 1}
-         for i in range(20)]
-reqs += [{"id": "m1", "op": "metrics"},
-         {"id": "r", "op": "reconfigure", "name": "c", "params": {"p": 3}},
-         {"id": "a", "op": "advance", "name": "c", "iterations": 1},
-         {"id": "m2", "op": "metrics"}]
-with open(d + '/compiles.txt', 'w') as f:
-    f.write('\n'.join(json.dumps(r) for r in reqs) + '\n')
-EOF
+{
+  printf '%s\n' \
+    '{"id":"s","op":"submit","name":"c","graph":'"$fig2"',"params":{"p":2}}'
+  for i in $(seq 0 19); do
+    printf '{"id":"a%d","op":"advance","name":"c","iterations":1}\n' "$i"
+  done
+  printf '%s\n' \
+    '{"id":"m1","op":"metrics"}' \
+    '{"id":"r","op":"reconfigure","name":"c","params":{"p":3}}' \
+    '{"id":"a","op":"advance","name":"c","iterations":1}' \
+    '{"id":"m2","op":"metrics"}'
+} > "$dir/compiles.txt"
 "$bin" serve "$dir/csock" 2> /dev/null &
 pid=$!
 "$bin" client "$dir/csock" < "$dir/compiles.txt" > "$dir/compiles.out"
 kill -9 "$pid" 2> /dev/null || true
 wait "$pid" 2> /dev/null || true
 pid=
-python3 - "$dir/compiles.out" <<'EOF'
-import json, sys
-want = {"m1": 1, "m2": 2}
-for line in open(sys.argv[1]):
-    r = json.loads(line)
-    if not r.get("ok"):
-        sys.exit("serve-smoke: request %s failed: %s" % (r.get("id"), line))
-    if r.get("id") in want:
-        got = [l for l in r["openmetrics"].splitlines()
-               if l.startswith("tpdf_serve_compiles_total ")]
-        if got != ["tpdf_serve_compiles_total %d" % want[r["id"]]]:
-            sys.exit("serve-smoke: %s: expected tpdf_serve_compiles_total %d,"
-                     " got %s" % (r["id"], want[r["id"]], got))
-        del want[r["id"]]
-if want:
-    sys.exit("serve-smoke: no metrics response for %s" % sorted(want))
-EOF
+if grep -v '"ok":true' "$dir/compiles.out"; then
+  echo "serve-smoke: FAIL (a request failed)" >&2
+  exit 1
+fi
+expect_compiles() { # expect_compiles ID COUNT
+  grep -F '"id":"'"$1"'"' "$dir/compiles.out" |
+    grep -qF '\ntpdf_serve_compiles_total '"$2"'\n' || {
+    echo "serve-smoke: FAIL ($1: expected tpdf_serve_compiles_total $2)" >&2
+    exit 1
+  }
+}
+expect_compiles m1 1
+expect_compiles m2 2
 echo "serve-smoke: OK"

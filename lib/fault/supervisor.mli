@@ -128,9 +128,8 @@ val run :
 
     A run executes on the calling domain and its state is its own, so
     the wrappers' bookkeeping takes no lock; separate runs and sessions
-    may step on separate domains at once (as [Tpdf_serve.Daemon]'s
-    [tick] does), but one session must not be stepped from two domains
-    at the same time.
+    may step on separate domains at once, but one session must not be
+    stepped from two domains at the same time.
 
     Stalls, event-budget exhaustion and behaviour-contract violations do
     not raise: while the policy's restart budget lasts, the failed

@@ -39,9 +39,9 @@ type op =
 type capture = { cap_target : t; mutable rev_ops : op list }
 
 (* Captures nest as a per-domain stack: the innermost (most recent)
-   capture targeting a registry receives its updates, so e.g. the
-   parallel engine's per-firing captures compose with an enclosing
-   transaction capture staging a whole iteration. *)
+   capture targeting a registry receives its updates, so a supervised
+   iteration's capture composes with an enclosing reconfiguration
+   transaction's capture staging the same iteration. *)
 let capture_slot : capture list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 

@@ -57,6 +57,16 @@ let check ~graph ~valuation ?deadline_ms ?max_cost () =
           budget
     | _ -> Ok ()
   in
+  (* The cost sums the repetition vector only: a rate can still overflow
+     where every firing count fits, so evaluate the rates before walking
+     the valuation. *)
+  let* conc =
+    match Csdf.Concrete.make (Graph.skeleton graph) valuation with
+    | conc -> Ok conc
+    | exception Intmath.Overflow ->
+        fail "channel rates overflow the native integer range under %s"
+          (Format.asprintf "%a" Tpdf_param.Valuation.pp valuation)
+  in
   let* () =
     let r = Liveness.check graph valuation in
     if r.Liveness.live then Ok ()
@@ -67,8 +77,7 @@ let check ~graph ~valuation ?deadline_ms ?max_cost () =
   in
   let period_ms =
     match
-      Sched.Mcr.iteration_period_ms
-        (Sched.Mcr.build (Csdf.Concrete.make (Graph.skeleton graph) valuation))
+      Sched.Mcr.iteration_period_ms (Sched.Mcr.build conc)
     with
     | p -> p
     | exception Failure _ -> Float.nan

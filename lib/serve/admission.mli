@@ -34,7 +34,8 @@ val check :
   outcome
 (** Run the full ladder: structural validation, complete valuation,
     rate consistency and rate safety (symbolic, whatever the valuation),
-    then the cost (overflow-checked) and the [max_cost] token budget, and
-    only then the rungs that walk one iteration: boundedness (liveness on
-    the submitted valuation) and the [deadline_ms] MCR check.  The first
-    failing rung rejects with a one-line reason. *)
+    then the cost (overflow-checked), the [max_cost] token budget and the
+    concrete channel rates (overflow-checked), and only then the rungs
+    that walk one iteration: boundedness (liveness on the submitted
+    valuation) and the [deadline_ms] MCR check.  The first failing rung
+    rejects with a one-line reason. *)

@@ -113,10 +113,11 @@ type obs_mode = Obs_off | Obs_full | Obs_sampled of Obs.sampling
    adjacency) becomes an array read.  The program is immutable and is
    shared by every instance built from it, so a caller stepping many
    iterations of one configuration compiles once.  The event queue is a
-   binary heap ordered by (time, seq) — FIFO on ties — and scheduling
-   uses a dirty-actor worklist instead of a global rescan.  The
-   observable semantics (stats, tpdf_obs streams) are bit-for-bit
-   those of the seed engine, enforced by test/test_engine_equiv.ml. *)
+   binary heap ordered by (time, seq) — FIFO on ties — and after each
+   event only the actors of the event's [wake] row are re-examined,
+   instead of a global rescan.  The observable semantics (stats,
+   tpdf_obs streams) are bit-for-bit those of the seed engine, enforced
+   by test/test_engine_equiv.ml. *)
 type program = {
   graph : Tpdf.Graph.t;
   conc : Csdf.Concrete.t;
@@ -146,9 +147,8 @@ type program = {
   chan_capacity : int array; (* Buffers.capacity_hint *)
   init_mode : string array; (* default initial control token *)
   has_clock : bool; (* any clocked control actor in the graph *)
-  (* compiled-rounds tables *)
+  wake : int array array; (* who an event at an actor can wake, ascending *)
   static_actor : bool array; (* no control port, head mode All_inputs *)
-  wake : int array array; (* who a completion can wake, ascending *)
 }
 
 (* One runnable instance of a program: the mutable run state, the
@@ -169,9 +169,6 @@ type 'a t = {
   completed : int array; (* firings finished *)
   busy : bool array;
   last_mode : compiled_mode array;
-  dirty : bool array;
-  dirty_buf : int array; (* worklist: first [dirty_len] entries are dirty *)
-  mutable dirty_len : int;
   sc_prod : int array; (* validate_outputs scratch, per channel; -1 idle *)
   sc_exp : bool array; (* validate_outputs scratch, per channel *)
   mutable remaining : int; (* actors still short of their firing limit *)
@@ -366,33 +363,19 @@ let compile ~graph ~valuation =
         | Tpdf.Mode.All_inputs -> true
         | _ -> false)
   in
-  (* Who a completion of [ai] can wake: [ai] itself plus the consumer of
-     every declared output channel, ascending and deduplicated — the
-     dirty set [complete_event] would have built (a superset when a
-     phase produces nothing on some channel, which is harmless: an actor
-     outside the true dirty set is never fireable, so trying it is a
-     no-op).  Walking this in the compiled rounds replaces the whole
-     mark/sort/clear worklist dance per event. *)
+  (* The wake rule: an actor can only become fireable when tokens reach
+     it or its own firing completes.  So after an event at [ai] — its
+     completion or its clock tick — both run loops try [wake.(ai)]: [ai]
+     itself plus the consumer of every declared output channel (clock
+     outputs included), ascending and deduplicated.  A row may be wider
+     than the channels one firing actually pushed to; an actor whose
+     inputs and busy flag did not change is not fireable, so trying it
+     is a no-op. *)
   let wake =
-    let seen = Array.make n false in
     Array.init n (fun ai ->
-        seen.(ai) <- true;
-        let acc = ref [ ai ] in
-        Array.iter
-          (fun cm ->
-            Array.iter
-              (List.iter (fun ((ch, _) : int * int) ->
-                   let dst = chan_dst.(ch) in
-                   if not seen.(dst) then begin
-                     seen.(dst) <- true;
-                     acc := dst :: !acc
-                   end))
-              cm.cm_out_rates)
-          cmodes.(ai);
-        let arr = Array.of_list !acc in
-        Array.iter (fun a -> seen.(a) <- false) arr;
-        Array.sort (fun (a : int) b -> compare a b) arr;
-        arr)
+        let consumers = Array.map (fun ch -> chan_dst.(ch)) outs.(ai) in
+        Array.of_list
+          (List.sort_uniq Int.compare (ai :: Array.to_list consumers)))
   in
   {
     graph;
@@ -422,8 +405,8 @@ let compile ~graph ~valuation =
     init_mode;
     has_clock =
       Array.exists (function Some _ -> true | None -> false) clock_period;
-    static_actor;
     wake;
+    static_actor;
   }
 
 let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
@@ -503,9 +486,6 @@ let instantiate_engine ~emit_initial p ?init_token ?(behaviors = [])
       completed = Array.make n 0;
       busy = Array.make n false;
       last_mode = Array.copy p.initial_mode;
-      dirty = Array.make n false;
-      dirty_buf = Array.make (max n 1) 0;
-      dirty_len = 0;
       sc_prod = Array.make (max nch 1) (-1);
       sc_exp = Array.make (max nch 1) false;
       remaining = 0;
@@ -538,55 +518,6 @@ let create ~graph ~valuation ?init_token ?behaviors ?obs ~default () =
   instantiate (compile ~graph ~valuation) ?init_token ?behaviors ?obs ~default
     ()
 
-let mark_dirty t ai =
-  if not t.dirty.(ai) then begin
-    t.dirty.(ai) <- true;
-    t.dirty_buf.(t.dirty_len) <- ai;
-    t.dirty_len <- t.dirty_len + 1
-  end
-
-(* In-place ascending sort of [a.(0 .. len-1)].  Worklists are tiny (a
-   completion wakes the actor and its consumers) or nearly sorted (a wide
-   fan-out marks consumers in channel order), so insertion sort wins; the
-   heapsort branch keeps adversarial orders O(k log k).  Either way: no
-   allocation, unlike the former [List.sort] per drain. *)
-let sort_worklist a len =
-  if len > 1 then
-    if len <= 32 then
-      for i = 1 to len - 1 do
-        let v = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && a.(!j) > v do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- v
-      done
-    else begin
-      let swap i j =
-        let tmp = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- tmp
-      in
-      let rec sift i len =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let m = ref i in
-        if l < len && a.(l) > a.(!m) then m := l;
-        if r < len && a.(r) > a.(!m) then m := r;
-        if !m <> i then begin
-          swap i !m;
-          sift !m len
-        end
-      in
-      for i = (len / 2) - 1 downto 0 do
-        sift i len
-      done;
-      for i = len - 1 downto 1 do
-        swap 0 i;
-        sift 0 i
-      done
-    end
-
 (* Discharge rejection debt against the tokens currently in the channel. *)
 let purge t ch =
   let d = t.debt.(ch) in
@@ -609,15 +540,33 @@ let purge t ch =
     end
   end
 
-let push_tokens t ch toks =
-  let q = t.queues.(ch) in
-  List.iter (fun tok -> Ringbuf.push q tok) toks;
-  purge t ch;
-  let occ = Ringbuf.length q in
-  if occ > t.max_occ.(ch) then t.max_occ.(ch) <- occ;
-  sample_occupancy t ch;
-  (* wakeup rule: the channel's consumer may have become fireable *)
-  mark_dirty t t.p.chan_dst.(ch)
+let rec push_all q = function
+  | [] -> ()
+  | tok :: rest ->
+      (* Ringbuf.push, hand-inlined minus the growth branch *)
+      let cap = Array.length q.Ringbuf.arr in
+      if q.Ringbuf.len = cap then Ringbuf.push q tok
+      else begin
+        let i = q.Ringbuf.head + q.Ringbuf.len in
+        q.Ringbuf.arr.(if i >= cap then i - cap else i) <- tok;
+        q.Ringbuf.len <- q.Ringbuf.len + 1
+      end;
+      push_all q rest
+
+(* Deliver a completion's or a tick's outputs, channel by channel: push
+   the tokens, discharge rejection debt, raise the high-water mark and
+   sample the occupancy.  Top-level recursion, so delivery allocates no
+   closure.  Who the tokens may wake is the caller's [wake] row. *)
+let rec deliver t = function
+  | [] -> ()
+  | (ch, toks) :: rest ->
+      let q = t.queues.(ch) in
+      push_all q toks;
+      if t.debt.(ch) > 0 then purge t ch;
+      let occ = q.Ringbuf.len in
+      if occ > t.max_occ.(ch) then t.max_occ.(ch) <- occ;
+      sample_occupancy t ch;
+      deliver t rest
 
 (* First declared mode of the actor; mirrors the seed's [List.hd]. *)
 let head_mode t ai =
@@ -907,18 +856,17 @@ let flush_sampled t =
             Metrics.set_gauge m ("engine.busy_ms." ^ a) t.s_busy.(ai))
         t.p.actor_names
 
-(* Process one completion: deliver outputs, wake consumers, emit the
-   obs span.  Shared verbatim by the event loop and the compiled round
-   executor — identical processing order plus identical processing code
-   is what makes the two backends byte-equivalent. *)
+(* Process one completion: deliver the outputs and emit the obs span.
+   The one completion path of the event loop, the compiled rounds and
+   their fused static path — identical processing order plus identical
+   processing code is what makes the two backends byte-equivalent. *)
 let complete_event t ~limit ai outputs record =
   t.busy.(ai) <- false;
   let c = t.completed.(ai) + 1 in
   t.completed.(ai) <- c;
   if limit.(ai) <> max_int && c = limit.(ai) then
     t.remaining <- t.remaining - 1;
-  List.iter (fun (ch, toks) -> push_tokens t ch toks) outputs;
-  mark_dirty t ai;
+  deliver t outputs;
   match t.omode with
   | Obs_off -> ()
   | Obs_full ->
@@ -980,7 +928,7 @@ let tick_event t ai =
   let outputs = b.Behavior.work ctx in
   validate_outputs t ai rates outputs;
   t.count.(ai) <- index + 1;
-  List.iter (fun (ch, toks) -> push_tokens t ch toks) outputs;
+  deliver t outputs;
   if Obs.enabled t.obs then begin
     Obs.instant t.obs ~cat:"clock" ~track:a ~name:(a ^ "/tick") ~ts_ms:t.now
       ~args:[ ("index", Ev.Int index); ("phase", Ev.Int phase) ]
@@ -991,46 +939,6 @@ let tick_event t ai =
   | Some p -> Event_heap.add t.events (t.now +. p) (Tick ai)
   | None -> ()
 
-(* Compiled-backend specialisations of the completion path and the output
-   check, for [Obs_off] runs.  They replay [complete_event] and
-   [validate_outputs] step for step minus the observability hooks — same
-   state writes, same token pushes, same errors — but as top-level
-   recursive functions, so the per-event closure allocations ([List.iter]
-   thunks, the scratch-table passes) disappear from the hot loop. *)
-let rec push_all q = function
-  | [] -> ()
-  | tok :: rest ->
-      (* Ringbuf.push, hand-inlined minus the growth branch *)
-      let cap = Array.length q.Ringbuf.arr in
-      if q.Ringbuf.len = cap then Ringbuf.push q tok
-      else begin
-        let i = q.Ringbuf.head + q.Ringbuf.len in
-        q.Ringbuf.arr.(if i >= cap then i - cap else i) <- tok;
-        q.Ringbuf.len <- q.Ringbuf.len + 1
-      end;
-      push_all q rest
-
-(* Delivery without [mark_dirty]: the compiled loop walks the actor's
-   precomputed wake list instead of a dirty worklist, so the flags must
-   stay untouched (all-false) here. *)
-let rec deliver_fast t = function
-  | [] -> ()
-  | (ch, toks) :: rest ->
-      let q = t.queues.(ch) in
-      push_all q toks;
-      if t.debt.(ch) > 0 then purge t ch;
-      let occ = q.Ringbuf.len in
-      if occ > t.max_occ.(ch) then t.max_occ.(ch) <- occ;
-      deliver_fast t rest
-
-let complete_fast t ~limit ai outputs =
-  t.busy.(ai) <- false;
-  let c = t.completed.(ai) + 1 in
-  t.completed.(ai) <- c;
-  if limit.(ai) <> max_int && c = limit.(ai) then
-    t.remaining <- t.remaining - 1;
-  deliver_fast t outputs
-
 (* [true] iff [toks] has exactly [want] tokens, all of channel [ch]'s
    class. *)
 let rec toks_ok t ch want = function
@@ -1040,12 +948,14 @@ let rec toks_ok t ch want = function
       && Token.is_ctrl tok = t.p.is_ctrl_chan.(ch)
       && toks_ok t ch (want - 1) rest
 
-(* Lockstep output check: [true] when [outputs] lists exactly the expected
-   channels in declaration order (rate-0 entries omitted) with the right
-   counts and token classes — then [validate_outputs] is guaranteed to
-   pass and can be skipped.  Any deviation returns [false] and the caller
-   falls back to the full check, which either passes (e.g. an explicit
-   [(ch, [])] for a rate-0 channel) or raises with the canonical error. *)
+(* The fused static path's lockstep output check (see [start_static]):
+   [true] when [outputs] lists exactly the expected channels in
+   declaration order (rate-0 entries omitted) with the right counts and
+   token classes — then [validate_outputs] is guaranteed to pass and its
+   scratch-table passes can be skipped.  Any deviation returns [false]
+   and the caller falls back to the full check, which either passes
+   (e.g. an explicit [(ch, [])] for a rate-0 channel) or raises with the
+   canonical error. *)
 let rec validate_fast t expected outputs =
   match expected with
   | (ch, rate) :: erest -> (
@@ -1220,29 +1130,25 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
       end
     end
   in
-  let obs_off = t.omode = Obs_off in
-  let static = t.p.static_actor in
-  (* Drain the dirty worklist in ascending actor id — the same stable
-     order as the seed's global rescan, so scheduling decisions and the
-     resulting traces are identical.  The walked prefix is stable: the
-     flags clear before the starts, and starting a firing marks no actor
-     dirty (outputs are delivered at [Complete], not at start). *)
-  let drain rounds =
-    let len = t.dirty_len in
-    if len > 0 then begin
-      sort_worklist t.dirty_buf len;
-      t.dirty_len <- 0;
-      for k = 0 to len - 1 do
-        t.dirty.(t.dirty_buf.(k)) <- false
-      done;
-      for k = 0 to len - 1 do
-        let ai = t.dirty_buf.(k) in
-        match rounds with
-        | Some r when obs_off && static.(ai) -> start_static rounds r ai
-        | _ -> try_start rounds ai
-      done
-    end
+  (* The actors the compiled rounds start through [start_static]. *)
+  let fused =
+    if t.omode = Obs_off then t.p.static_actor else Array.make n false
   in
+  (* The one walk: try the actors [ids] names, in order — a [wake] row
+     after each event, every actor at the start of a run.  Both are
+     ascending, the same stable order as the seed's global rescan, so
+     scheduling decisions and the resulting traces are identical.
+     Starting a firing makes no other actor fireable (outputs are
+     delivered at its completion), so one pass suffices. *)
+  let try_actors rounds ids =
+    for k = 0 to Array.length ids - 1 do
+      let ai = ids.(k) in
+      match rounds with
+      | Some r when fused.(ai) -> start_static rounds r ai
+      | _ -> try_start rounds ai
+    done
+  in
+  let wake = t.p.wake in
   let steps = ref 0 in
   let stop = ref false in
   let budget_hit = ref false in
@@ -1266,9 +1172,6 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
     && Array.for_all not t.busy
   in
   t.ran_compiled <- compiled;
-  for ai = 0 to n - 1 do
-    mark_dirty t ai
-  done;
   if compiled then begin
     (* Round executor: pop order equals the heap's (time, seq) order as
        long as every firing takes the same duration; the first firing
@@ -1285,8 +1188,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
       }
     in
     let rounds = Some r in
-    drain rounds;
-    let wake = t.p.wake in
+    try_actors rounds (Array.init n Fun.id);
     let exporter_on = match t.exporter with Some _ -> true | None -> false in
     let cap = match until_ms with Some c -> c | None -> infinity in
     let finished = ref false in
@@ -1329,19 +1231,8 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
           q.Cfifo.head <-
             (if h1 = Array.length q.Cfifo.times then 0 else h1);
           q.Cfifo.len <- q.Cfifo.len - 1;
-          if obs_off then begin
-            complete_fast t ~limit ai outputs;
-            let wl = wake.(ai) in
-            for k = 0 to Array.length wl - 1 do
-              let aj = wl.(k) in
-              if static.(aj) then start_static rounds r aj
-              else try_start rounds aj
-            done
-          end
-          else begin
-            complete_event t ~limit ai outputs record;
-            drain rounds
-          end;
+          complete_event t ~limit ai outputs record;
+          try_actors rounds wake.(ai);
           if exporter_on then exporter_tick ()
         end
       end
@@ -1359,7 +1250,7 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
     in
     Event_heap.load t.events ~next_seq:r.seq pending
   end
-  else drain None;
+  else try_actors None (Array.init n Fun.id);
   while (not !stop) && not (Event_heap.is_empty t.events) do
     (* Peek before popping: an event past [until_ms] stays in the queue,
        so the state at the cap is faithful and [steps] only counts
@@ -1379,11 +1270,16 @@ let run_outcome ?(backend = `Event) ?(iterations = 1) ?targets ?until_ms
         | None -> stop := true
         | Some (time, ev) ->
             t.now <- time;
-            (match ev with
-            | Complete (ai, outputs, record) ->
-                complete_event t ~limit ai outputs record
-            | Tick ai -> tick_event t ai);
-            drain None;
+            let ai =
+              match ev with
+              | Complete (ai, outputs, record) ->
+                  complete_event t ~limit ai outputs record;
+                  ai
+              | Tick ai ->
+                  tick_event t ai;
+                  ai
+            in
+            try_actors None wake.(ai);
             exporter_tick ()
     end
   done;

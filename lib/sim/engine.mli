@@ -18,9 +18,11 @@
     Internally the graph is compiled once per valuation into a {!program}
     of dense arrays (rates, control ports, adjacency, per-mode tables)
     that every instance of it shares, events live in an
-    {!Event_heap} ordered by [(time, seq)], and scheduling re-examines only
-    actors woken by token arrivals or their own completion — see DESIGN.md,
-    "Engine internals", for the structure and the determinism contract. *)
+    {!Event_heap} ordered by [(time, seq)], and after each event the
+    scheduler re-examines only the actors that event can wake — the actor
+    itself and the consumers of its output channels, a table built at
+    compile time — see DESIGN.md, "Engine internals", for the structure
+    and the determinism contract. *)
 
 (** One firing: the payload of an in-flight completion, from which its
     ["firing"] span is emitted when it completes.  The engine keeps no
@@ -144,9 +146,8 @@ val create :
     collector every instrumentation point is a single branch and allocates
     nothing, so simulation results and timings are unchanged.
 
-    An instance runs on the domain that calls it; separate instances
-    may run on separate domains at once, as [Tpdf_serve.Daemon]'s
-    [tick] sharding does with one program per tenant.
+    An instance runs on the domain that calls it; separate instances,
+    of one program or of several, may run on separate domains at once.
     @raise Invalid_argument on unknown behaviour actors, or if the graph
     fails {!Tpdf_core.Graph.validate}. *)
 

@@ -524,7 +524,7 @@ let check_file_compiled file () =
         scenarios
 
 (* With observability disabled the compiled backend takes its fused
-   static fast path (wake-list walk, hand-inlined fire/complete), which
+   static fast path (hand-inlined consume and output check), which
    the obs-enabled variant above never reaches.  Pin the full outcome —
    stats record, and the firing log of every kernel and control actor as
    the trace — along that path too, for every graph under every

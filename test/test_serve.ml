@@ -242,6 +242,41 @@ let test_admission_overflow () =
   Alcotest.(check bool) "daemon answers a ping after" true
     (is_ok (rpc d [ ("id", J.String "p"); ("op", J.String "ping") ]))
 
+(* The cost is 2 at every p, but the rate p*p overflows at p = 2^32:
+   the concrete rates are evaluated, overflow-checked, after the cost. *)
+let square_rate =
+  "tpdf graph {\n  kernel A;\n  kernel B;\n\
+  \  channel e0 = A [p*p] -> [p*p] B;\n}\n"
+
+let ping_ok d = is_ok (rpc d [ ("id", J.String "p"); ("op", J.String "ping") ])
+
+let test_admission_rate_overflow () =
+  rejected_naming "p*p rate at p = 2^32" "rates overflow"
+    (Adm.check ~graph:(graph_of square_rate)
+       ~valuation:(Valuation.of_list [ ("p", 1 lsl 32) ]) ())
+
+let test_admission_rate_overflow_submit () =
+  let d = daemon () in
+  check_code "submit p*p rate at p = 2^32" "inadmissible"
+    (rpc d (submit_req ~name:"sq" square_rate ~params:[ ("p", 1 lsl 32) ]));
+  Alcotest.(check bool) "daemon answers a ping after" true (ping_ok d)
+
+let test_admission_rate_overflow_reconfigure () =
+  let d = daemon () in
+  Alcotest.(check bool) "admitted at p = 2" true
+    (is_ok (rpc d (submit_req ~name:"sq" square_rate ~params:[ ("p", 2) ])));
+  check_code "reconfigure to p = 2^32" "inadmissible"
+    (rpc d
+       [
+         ("id", J.String "rc");
+         ("op", J.String "reconfigure");
+         ("name", J.String "sq");
+         ("params", J.Obj [ ("p", J.Int (1 lsl 32)) ]);
+       ]);
+  Alcotest.(check bool) "daemon answers a ping after" true (ping_ok d);
+  Alcotest.(check bool) "tenant still advances at p = 2" true
+    (is_ok (rpc d (advance_req ~name:"sq" 1)))
+
 let test_admission_budget_before_liveness () =
   (* Deadlocks at p = 8 (seven initial tokens, eight needed) and costs 9. *)
   let cycle =
@@ -1524,6 +1559,12 @@ let () =
           Alcotest.test_case "rejection ladder" `Quick test_admission_rejects;
           Alcotest.test_case "overflowing cost rejected" `Quick
             test_admission_overflow;
+          Alcotest.test_case "overflowing rate rejected" `Quick
+            test_admission_rate_overflow;
+          Alcotest.test_case "overflowing rate submit" `Quick
+            test_admission_rate_overflow_submit;
+          Alcotest.test_case "overflowing rate reconfigure" `Quick
+            test_admission_rate_overflow_reconfigure;
           Alcotest.test_case "budget before liveness" `Quick
             test_admission_budget_before_liveness;
         ] );
