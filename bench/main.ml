@@ -423,7 +423,7 @@ let e15_ablation () =
   Printf.printf "  intrinsic bound (max cycle ratio): %.2f ms/iteration\n"
     (Sched.Mcr.iteration_period_ms (Sched.Mcr.build conc));
   (* mcr.solve wall time: the tpdf_obs gauge (one instrumented solve)
-     next to a Bechamel estimate of the dense-array solver, so the
+     next to a Bechamel estimate of the same solve, so the
      instrumentation overhead and the real cost stay comparable. *)
   let mcr_t = Sched.Mcr.build conc in
   let obs = Tpdf_obs.Obs.create () in
@@ -440,7 +440,8 @@ let e15_ablation () =
         ignore (Sched.Mcr.iteration_period_ms mcr_t))
   in
   Printf.printf
-    "  mcr.solve wall time: obs gauge %.4f ms, bechamel %.4f ms (dense arrays)\n"
+    "  mcr.solve wall time: obs gauge %.4f ms, bechamel %.4f ms (max-plus \
+     pass + Howard)\n"
     observed measured
 
 (* ------------------------------------------------------------------ *)
@@ -511,6 +512,11 @@ let e13_analysis_cost () =
   section "E13" "Analysis cost: the static checks are cheap (Bechamel)";
   let { Examples.graph = fig2; _ } = Examples.fig2 () in
   let og, _ = Ofdm_app.tpdf_graph () in
+  let at p = Valuation.of_list [ ("p", p) ] in
+  let mcr p =
+    let conc = Csdf.Concrete.make (Graph.skeleton fig2) (at p) in
+    fun () -> ignore (Sched.Mcr.solve (Sched.Mcr.build conc))
+  in
   let rows =
     [
       ("fig2 repetition", fun () -> ignore (Analysis.repetition fig2));
@@ -518,6 +524,12 @@ let e13_analysis_cost () =
       ( "fig2 liveness p=5",
         fun () ->
           ignore (Liveness.is_live fig2 (Valuation.of_list [ ("p", 5) ])) );
+      ("fig2 MCR p=8", mcr 8);
+      ("fig2 MCR p=64", mcr 64);
+      ( "fig2 admission p=64",
+        fun () ->
+          ignore (Tpdf_serve.Admission.check ~graph:fig2 ~valuation:(at 64) ())
+      );
       ("ofdm repetition", fun () -> ignore (Analysis.repetition og));
       ("ofdm rate-safety", fun () -> ignore (Analysis.rate_safe og));
       ( "ofdm buffers b=100",

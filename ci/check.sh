@@ -167,6 +167,12 @@ dune exec bin/tpdf_tool.exe -- analyze-trace ofdm-tpdf -p beta=2 -p N=8 -p L=1 \
   > "$tmp/analyze.out"
 grep -q 'consistent with the analyses' "$tmp/analyze.out"
 
+# On fig2 at p=8 the observed period equals the proven bound (16 ms), so
+# a solver that over-estimates the MCR by more than 1e-6 exits 2 here.
+echo "== smoke: tpdf_tool analyze-trace fig2 (bound is tight) =="
+dune exec bin/tpdf_tool.exe -- analyze-trace fig2 -p p=8 > "$tmp/analyze.out"
+grep -q 'consistent with the analyses' "$tmp/analyze.out"
+
 # Memo kill-switch: the analysis suites must pass with TPDF_PARAM_MEMO=0,
 # pinning that memoization only caches value-deterministic results and
 # never changes a symbolic answer.

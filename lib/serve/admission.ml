@@ -3,7 +3,7 @@ module Csdf = Tpdf_csdf
 module Sched = Tpdf_sched
 module Intmath = Tpdf_util.Intmath
 
-type verdict = { cost : int; period_ms : float }
+type verdict = { cost : int; period_ms : float; latency_ms : float }
 type outcome = Admitted of verdict | Rejected of string
 
 let check ~graph ~valuation ?deadline_ms ?max_cost () =
@@ -67,24 +67,24 @@ let check ~graph ~valuation ?deadline_ms ?max_cost () =
         fail "channel rates overflow the native integer range under %s"
           (Format.asprintf "%a" Tpdf_param.Valuation.pp valuation)
   in
-  let* () =
-    let r = Liveness.check graph valuation in
-    if r.Liveness.live then Ok ()
-    else
-      fail "not bounded: deadlock under %s (stuck: %s)"
-        (Format.asprintf "%a" Tpdf_param.Valuation.pp valuation)
-        (String.concat ", " r.Liveness.stuck)
+  (* One walk decides liveness (the last conjunct of Thm 2) and feeds
+     its firing order to the max-plus pass. *)
+  let* firings =
+    match Csdf.Schedule.run ~policy:Csdf.Schedule.Late_first conc with
+    | Csdf.Schedule.Complete trace -> Ok trace.Csdf.Schedule.firings
+    | Csdf.Schedule.Deadlock { stuck; _ } ->
+        fail "not bounded: deadlock under %s (stuck: %s)"
+          (Format.asprintf "%a" Tpdf_param.Valuation.pp valuation)
+          (String.concat ", " stuck)
   in
-  let period_ms =
-    match
-      Sched.Mcr.iteration_period_ms (Sched.Mcr.build conc)
-    with
-    | p -> p
-    | exception Failure _ -> Float.nan
+  let { Sched.Mcr.period_ms; latency_ms } =
+    Sched.Mcr.solve (Sched.Mcr.of_firings conc firings)
   in
   match deadline_ms with
-  | Some d when (not (Float.is_nan period_ms)) && period_ms > d ->
+  | Some d when latency_ms > d ->
       Rejected
-        (Printf.sprintf "MCR iteration period %.3f ms exceeds the %.3f ms deadline"
-           period_ms d)
-  | _ -> Admitted { cost; period_ms }
+        (Printf.sprintf
+           "one-iteration latency %.3f ms exceeds the %.3f ms deadline \
+            (period %.3f ms)"
+           latency_ms d period_ms)
+  | _ -> Admitted { cost; period_ms; latency_ms }

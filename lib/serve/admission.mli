@@ -9,8 +9,9 @@
     misbehaviour past admission is the supervisor's department, not the
     scheduler's.  On top of the qualitative checks the verdict carries a
     quantitative cost model: the per-iteration firing count (the token
-    budget admission currency) and the MCR iteration-period bound
-    checked against an optional per-tenant deadline. *)
+    budget admission currency), the exact max-plus iteration period and
+    the one-iteration latency ({!Tpdf_sched.Mcr}), which an optional
+    per-tenant deadline bounds. *)
 
 type verdict = {
   cost : int;
@@ -18,9 +19,12 @@ type verdict = {
           integer repetition vector) — the capacity unit the daemon
           budgets *)
   period_ms : float;
-      (** MCR lower bound on the iteration period at 1 ms/firing; [0.]
-          on acyclic pipelines (unbounded pipelined throughput), [nan]
-          when the bound is unavailable *)
+      (** maximum cycle ratio at 1 ms/firing: the self-timed period of
+          pipelined iterations *)
+  latency_ms : float;
+      (** one iteration from the boundary state at 1 ms/firing: what a
+          served step, one iteration on a fresh engine, takes in virtual
+          time (a clock's wait is not counted) *)
 }
 
 type outcome = Admitted of verdict | Rejected of string
@@ -35,7 +39,8 @@ val check :
 (** Run the full ladder: structural validation, complete valuation,
     rate consistency and rate safety (symbolic, whatever the valuation),
     then the cost (overflow-checked), the [max_cost] token budget and the
-    concrete channel rates (overflow-checked), and only then the rungs
-    that walk one iteration: boundedness (liveness on the submitted
-    valuation) and the [deadline_ms] MCR check.  The first failing rung
-    rejects with a one-line reason. *)
+    concrete channel rates (overflow-checked), and only then one walk of
+    the iteration: boundedness (liveness on the submitted valuation),
+    whose firing order the max-plus pass prices, and the [deadline_ms]
+    check against the latency.  The first failing rung rejects with a
+    one-line reason. *)

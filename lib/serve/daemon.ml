@@ -326,7 +326,7 @@ let h_submit d ~id req =
            | Admission.Rejected reason ->
                incr d "serve.rejected";
                Ok (P.err ~id ~code:"inadmissible" reason)
-           | Admission.Admitted { Admission.cost; period_ms } -> (
+           | Admission.Admitted { Admission.cost; period_ms; latency_ms } -> (
                let cfg : R.cfg =
                  {
                    R.c_graph = graph;
@@ -371,6 +371,7 @@ let h_submit d ~id req =
                      ("status", status_json tn);
                      ("cost", Json.Int cost);
                      ("period_ms", Json.Float period_ms);
+                     ("latency_ms", Json.Float latency_ms);
                    ]
                in
                if fits d cost then Ok (admit R.Running)
@@ -650,7 +651,8 @@ let h_reconfigure d ~id req =
                     | Admission.Rejected reason ->
                         incr d "serve.rejected";
                         P.err ~id ~code:"inadmissible" reason
-                    | Admission.Admitted { Admission.cost; period_ms } ->
+                    | Admission.Admitted
+                        { Admission.cost; period_ms; latency_ms } ->
                         let delta = cost - tn.R.t_cost in
                         if
                           tn.R.t_status = R.Running
@@ -680,6 +682,7 @@ let h_reconfigure d ~id req =
                               ("status", status_json tn);
                               ("cost", Json.Int cost);
                               ("period_ms", Json.Float period_ms);
+                              ("latency_ms", Json.Float latency_ms);
                             ]
                         end))))
 

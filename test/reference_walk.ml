@@ -432,7 +432,7 @@ module Mcr = struct
   module Digraph = Tpdf_graph.Digraph
 
   type node = Tpdf_sched.Mcr.node = { actor : string; index : int }
-  type edge = Tpdf_sched.Mcr.edge = { src : node; dst : node; delay : int }
+  type edge = Reference_mcr.edge = { src : node; dst : node; delay : int }
 
   let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 

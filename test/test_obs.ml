@@ -594,7 +594,7 @@ let test_openmetrics_no_duplicate_series () =
         Alcotest.(check bool) (f ^ " exported") true (List.mem f families))
       [
         "tpdf_analysis_repetition_ms"; "tpdf_liveness_checks";
-        "tpdf_mcr_oracle_calls"; "tpdf_mcr_period_ms"; "tpdf_sched_assignments";
+        "tpdf_mcr_policy_iterations"; "tpdf_mcr_period_ms"; "tpdf_sched_assignments";
         "tpdf_sched_assignments_pe3"; "tpdf_sched_ready_queue";
         "tpdf_sched_pe_idle_ms"; "tpdf_throughput_period_ms";
         "tpdf_engine_firings"; "tpdf_engine_reconfigurations";

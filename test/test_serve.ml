@@ -187,7 +187,7 @@ let test_admission_ok () =
     Adm.check ~graph:(graph_of (Lazy.force fig1))
       ~valuation:(Valuation.of_list []) ()
   with
-  | Adm.Admitted { Adm.cost; period_ms } ->
+  | Adm.Admitted { Adm.cost; period_ms; _ } ->
       Alcotest.(check int) "fig1 cost" 7 cost;
       Alcotest.(check bool) "fig1 period in (0, 5.5)" true
         (period_ms > 0.0 && period_ms < 5.5)
@@ -286,6 +286,69 @@ let test_admission_budget_before_liveness () =
   rejected_naming "deadlocked cycle over budget" "budget"
     (Adm.check ~graph:(graph_of cycle)
        ~valuation:(Valuation.of_list [ ("p", 8) ]) ~max_cost:5 ())
+
+(* The deadline bounds what a served step takes, one iteration from the
+   boundary state, not the pipelined period: fig2 at p = 8 has period 16
+   and latency 20. *)
+let test_admission_deadline_latency () =
+  let fig2_within deadline_ms =
+    Adm.check ~graph:(graph_of (Lazy.force fig2))
+      ~valuation:(Valuation.of_list [ ("p", 8) ]) ~deadline_ms ()
+  in
+  (match fig2_within 18.0 with
+  | Adm.Rejected r ->
+      Alcotest.(check string) "deadline 18 ms"
+        "one-iteration latency 20.000 ms exceeds the 18.000 ms deadline \
+         (period 16.000 ms)"
+        r
+  | Adm.Admitted _ -> Alcotest.fail "deadline 18 ms admitted");
+  (match fig2_within 20.0 with
+  | Adm.Admitted v ->
+      Alcotest.(check (float 0.0)) "period" 16.0 v.Adm.period_ms;
+      Alcotest.(check (float 0.0)) "latency" 20.0 v.Adm.latency_ms
+  | Adm.Rejected r -> Alcotest.fail ("deadline 20 ms: " ^ r));
+  let resp =
+    rpc (daemon ())
+      (submit_req ~name:"f" ~params:[ ("p", 8) ] ~deadline_ms:20.0
+         (Lazy.force fig2))
+  in
+  if not (contains resp {|"period_ms":16.0,"latency_ms":20.0}|}) then
+    Alcotest.fail ("submit answered " ^ resp)
+
+(* On every unclocked shipped graph that admission accepts, one
+   fault-free served step ends at the admitted latency exactly. *)
+let test_latency_is_a_served_step () =
+  let module G = Tpdf_core.Graph in
+  List.iter
+    (fun file ->
+      let g = graph_of (read_file (Filename.concat graphs_dir file)) in
+      if
+        not (List.exists (fun a -> G.clock_period_ms g a <> None) (G.actors g))
+      then
+        List.iter
+          (fun v ->
+            let valuation =
+              Valuation.of_list (List.map (fun p -> (p, v)) (G.parameters g))
+            in
+            let what = Printf.sprintf "%s at %d" file v in
+            match Adm.check ~graph:g ~valuation () with
+            | Adm.Rejected r ->
+                if file <> "unsafe.tpdf" then Alcotest.fail (what ^ ": " ^ r)
+            | Adm.Admitted { Adm.latency_ms; _ } -> (
+                if file = "unsafe.tpdf" then Alcotest.fail (what ^ " admitted");
+                let session =
+                  Tpdf_fault.Chaos.session ~graph:g ~seed:0 ~specs:[]
+                    ~valuation ()
+                in
+                match Tpdf_fault.Supervisor.step session with
+                | Tpdf_fault.Supervisor.Stepped (stats, _) ->
+                    Alcotest.(check (float 0.0)) what latency_ms
+                      stats.Tpdf_sim.Engine.end_ms
+                | _ -> Alcotest.fail (what ^ ": the step did not complete")))
+          [ 2; 3 ])
+    (List.filter
+       (fun f -> Filename.check_suffix f ".tpdf")
+       (Array.to_list (Sys.readdir graphs_dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol errors                                                     *)
@@ -1567,6 +1630,10 @@ let () =
             test_admission_rate_overflow_reconfigure;
           Alcotest.test_case "budget before liveness" `Quick
             test_admission_budget_before_liveness;
+          Alcotest.test_case "deadline bounds the latency" `Quick
+            test_admission_deadline_latency;
+          Alcotest.test_case "latency is a served step" `Quick
+            test_latency_is_a_served_step;
         ] );
       ( "protocol",
         [

@@ -20,7 +20,7 @@ module Graph = Tpdf_core.Graph
 module Serial = Tpdf_core.Serial
 module Valuation = Tpdf_param.Valuation
 module Digraph = Tpdf_graph.Digraph
-module Mcr = Tpdf_sched.Mcr
+module Mcr = Reference_mcr
 module Ref = Reference_walk
 
 let result f =
